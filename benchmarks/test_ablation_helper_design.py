@@ -11,7 +11,7 @@ Two sweeps:
   clock versus the extra issue capacity (ratio 1 = symmetric second cluster).
 """
 
-from repro.core.config import helper_cluster_config
+from repro.core.config import helper_topology, topology_config
 from repro.core.steering import make_policy
 from repro.sim.metrics import speedup
 from repro.sim.reporting import format_table
@@ -40,7 +40,7 @@ def _run(runner, config):
 
 def test_ablation_helper_width(benchmark, runner):
     def sweep():
-        return {width: _run(runner, helper_cluster_config(narrow_width=width))
+        return {width: _run(runner, topology_config(helper_topology(narrow_width=width)))
                 for width in WIDTHS}
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -60,7 +60,7 @@ def test_ablation_helper_width(benchmark, runner):
 
 def test_ablation_clock_ratio(benchmark, runner):
     def sweep():
-        return {ratio: _run(runner, helper_cluster_config(clock_ratio=ratio))
+        return {ratio: _run(runner, topology_config(helper_topology(clock_ratio=ratio)))
                 for ratio in RATIOS}
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -5,7 +5,7 @@ complexity and performance".  This ablation sweeps the table size and reports
 prediction accuracy and speedup so the knee of that curve can be inspected.
 """
 
-from repro.core.config import helper_cluster_config
+from repro.core.config import helper_topology, topology_config
 from repro.core.steering import make_policy
 from repro.sim.metrics import speedup
 from repro.sim.reporting import format_table
@@ -23,7 +23,7 @@ def test_ablation_predictor_size(benchmark, runner):
     def sweep():
         out = {}
         for size in SIZES:
-            config = helper_cluster_config(predictor_entries=size)
+            config = topology_config(helper_topology(), predictor_entries=size)
             gains, accuracies = [], []
             for name in BENCHMARKS:
                 profile = get_profile(name)

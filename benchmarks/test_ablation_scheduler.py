@@ -7,7 +7,7 @@ ablation reproduces that experiment: the +CR configuration is run with the
 Table 1 scheduler (32 entries, 3-issue) and with reduced schedulers.
 """
 
-from repro.core.config import helper_cluster_config
+from repro.core.config import helper_topology, topology_config
 from repro.core.steering import make_policy
 from repro.sim.metrics import speedup
 from repro.sim.reporting import format_table
@@ -29,7 +29,7 @@ def test_ablation_scheduler(benchmark, runner):
     def sweep():
         out = {}
         for label, params in VARIANTS.items():
-            config = helper_cluster_config().with_scheduler(**params)
+            config = topology_config(helper_topology()).with_scheduler(**params)
             gains = []
             for name in BENCHMARKS:
                 profile = get_profile(name)

@@ -28,10 +28,10 @@ overrides the margin).  ``warm_cache`` is gated too, at a wider default
 margin (``REPRO_BENCH_TOLERANCE_WARM``, 60%): its wall is milliseconds,
 so only structural cache-path regressions (an extra decode or sync per
 entry reads as 2x+) should trip it, never timer noise.  The gate is per
-backend: each serial-cold scenario
-records which backend produced it and is only compared against a committed
-scenario measured under the same backend, so a runner without a compiler
-cannot trip the compiled number (and vice versa).  Without the env var the
+backend: each scenario records which backend produced it, and the gate
+fails, naming both backends, when the committed scenario was measured under
+a different backend (or is missing): an uncomparable baseline is a failure,
+never a silent skip.  Without the env var the
 benchmark only measures and rewrites the artefact, so local runs on
 different hardware never fail spuriously.
 
@@ -126,14 +126,14 @@ def _run_dispatch_chain():
     kernels the ladder number dilutes with engine and baseline costs.
     Min-of-3 discards scheduler blips.
     """
-    from repro.core.config import helper_cluster_config
+    from repro.core.config import helper_topology, topology_config
     from repro.core.steering import make_policy
     from repro.sim.simulator import simulate
     from repro.trace.synthetic import generate_trace
 
     profile = SPEC_INT_2000["gcc"]
     trace = generate_trace(profile, BENCH_UOPS, seed=BENCH_SEED)
-    config = helper_cluster_config()
+    config = topology_config(helper_topology())
     best_wall = None
     result = None
     for _ in range(3):
@@ -264,8 +264,8 @@ def test_bench_sim_throughput(tmp_path):
     # sides are normalised by their own machine's calibration rate, so the
     # comparison survives runner-hardware differences; an artefact without
     # a calibration figure falls back to raw uops/sec (same-machine only).
-    # Per-backend: a scenario only gates against a committed scenario that
-    # was measured under the same backend.
+    # Per-backend: a scenario must gate against a committed scenario that
+    # was measured under the same backend, or the gate fails.
     if os.environ.get("REPRO_BENCH_ENFORCE") == "1":
         tolerance = float(os.environ.get("REPRO_BENCH_TOLERANCE", "0.25"))
         # The warm-cache sweep is milliseconds long, so even min-of-3 is
@@ -282,10 +282,16 @@ def test_bench_sim_throughput(tmp_path):
             old_rate = old.get("uops_per_sec")
             new = scenarios[key]
             new_rate = new["uops_per_sec"]
-            if not old_rate:
-                continue
-            if old.get("backend", "python") != new["backend"]:
-                continue  # e.g. the runner could not build the extension
+            # A baseline that cannot be compared is a failure, not a skip.
+            assert old_rate, (
+                f"{key}: {BENCH_JSON.name} has no committed uops_per_sec "
+                f"to gate against; regenerate it with the full suite")
+            old_backend = old.get("backend", "python")
+            assert old_backend == new["backend"], (
+                f"{key}: committed baseline was measured under the "
+                f"{old_backend!r} backend but this run used "
+                f"{new['backend']!r}; build the extension (or regenerate "
+                f"{BENCH_JSON.name}) so the two are comparable")
             if old_calibration:
                 old_norm = old_rate / old_calibration
                 new_norm = new_rate / calibration

@@ -8,7 +8,7 @@ fatal misprediction rate of 0.83% with the confidence estimator (2.11%
 without it).
 """
 
-from repro.core.config import helper_cluster_config
+from repro.core.config import helper_topology, topology_config
 from repro.core.steering import make_policy
 from repro.sim.reporting import format_table
 from repro.sim.simulator import simulate
@@ -34,11 +34,11 @@ def test_fig05_prediction_accuracy(benchmark, ladder_sweep, spec_traces):
     trace = spec_traces["parser"]
 
     def run_without_confidence():
-        return simulate(trace, config=helper_cluster_config(use_confidence=False),
-                        policy=make_policy("n888"))
+        config = topology_config(helper_topology(), use_confidence=False)
+        return simulate(trace, config=config, policy=make_policy("n888"))
 
     ungated = benchmark.pedantic(run_without_confidence, rounds=1, iterations=1)
-    gated = simulate(trace, config=helper_cluster_config(use_confidence=True),
+    gated = simulate(trace, config=topology_config(helper_topology()),
                      policy=make_policy("n888"))
 
     rows.append(["parser (no confidence)", ungated.prediction.accuracy * 100.0,

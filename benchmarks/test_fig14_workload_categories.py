@@ -12,7 +12,7 @@ applications per category to stay CI-sized; set the variable to 0 to run the
 full 409-trace suite of Table 2.
 """
 
-from repro.core.config import helper_cluster_config
+from repro.core.config import helper_topology, topology_config
 from repro.core.steering import make_policy
 from repro.sim.baseline import simulate_baseline
 from repro.sim.metrics import speedup
@@ -41,7 +41,7 @@ def test_fig14_workload_categories(benchmark):
         for app in apps:
             trace = generate_trace(app.profile, APP_UOPS, seed=app.seed)
             base = simulate_baseline(trace)
-            helper = simulate(trace, config=helper_cluster_config(),
+            helper = simulate(trace, config=topology_config(helper_topology()),
                               policy=make_policy(FINAL_POLICY))
             per_app.append((app, speedup(base, helper)))
         return per_app

@@ -4,7 +4,7 @@ Checks that the machine configuration the simulator instantiates matches the
 paper's Table 1 point-for-point, and regenerates the table.
 """
 
-from repro.core.config import TABLE_1_PARAMETERS, baseline_config, helper_cluster_config
+from repro.core.config import TABLE_1_PARAMETERS, MachineConfig, baseline_config
 from repro.sim.baseline import simulate_baseline
 from repro.sim.reporting import format_table
 from repro.trace.profiles import get_profile
@@ -15,7 +15,7 @@ from _bench_utils import BENCH_SEED, write_result
 
 def test_table1_baseline_config(benchmark):
     config = baseline_config()
-    helper = helper_cluster_config()
+    helper = MachineConfig()
 
     # Time a short representative baseline simulation so the harness reports
     # the cost of the Table 1 machine itself.
@@ -39,15 +39,15 @@ def test_table1_baseline_config(benchmark):
     assert config.memory.ul1.associativity == 16
     assert config.memory.ul1.hit_latency == 13
     assert config.memory.main_memory_latency == 450
-    assert config.scheduler.queue_size == 32
-    assert config.scheduler.issue_width == 3
+    assert config.topology.host.queue_size == 32
+    assert config.topology.host.issue_width == 3
     assert config.fp_scheduler.queue_size == 32
     assert config.commit_width == 6
-    assert not config.helper.enabled
+    assert config.topology.num_helpers == 0
 
     # The helper-cluster machine adds only the §2 parameters on top.
-    assert helper.helper.enabled
-    assert helper.helper.narrow_width == 8
-    assert helper.helper.clock_ratio == 2
+    assert helper.topology.num_helpers == 1
+    assert helper.narrow_width == 8
+    assert helper.clock_ratio == 2
     assert helper.predictor.table_entries == 256
     assert result.committed_uops == len(trace)

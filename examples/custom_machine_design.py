@@ -3,7 +3,8 @@
 
 Shows how to use the public configuration API to explore helper-cluster
 design points beyond the paper's 8-bit / 2x choice: different narrow widths,
-clock ratios and predictor sizes, plus the energy-delay² trade-off of §3.7.
+clock ratios, helper counts and predictor sizes, each described by a cluster
+topology, plus the energy-delay² trade-off of §3.7.
 
 Run with::
 
@@ -12,9 +13,9 @@ Run with::
 
 import argparse
 
-from repro.core.config import helper_cluster_config, helper_topology, topology_config
+from repro.core.config import helper_topology, topology_config
 from repro.core.steering import make_policy
-from repro.power.energy import compare_ed2, report_from_activity
+from repro.power.energy import compare_ed2, report_from_result
 from repro.sim.baseline import simulate_baseline
 from repro.sim.metrics import speedup
 from repro.sim.reporting import format_table
@@ -22,19 +23,19 @@ from repro.sim.simulator import simulate
 from repro.trace.profiles import get_profile
 from repro.trace.synthetic import generate_trace
 
+#: Each design point is a cluster topology (wide host + helpers) plus the
+#: predictor size; ``repro.cli explore`` sweeps whole grids of these
+#: through the parallel engine.
 DESIGN_POINTS = [
-    ("4-bit helper, 2x clock", dict(narrow_width=4, clock_ratio=2)),
-    ("8-bit helper, 2x clock (paper)", dict(narrow_width=8, clock_ratio=2)),
-    ("16-bit helper, 2x clock", dict(narrow_width=16, clock_ratio=2)),
-    ("8-bit helper, 1x clock (symmetric)", dict(narrow_width=8, clock_ratio=1)),
-    ("8-bit helper, tiny predictor", dict(narrow_width=8, clock_ratio=2,
-                                          predictor_entries=32)),
-]
-
-#: Machine shapes beyond the two-cluster API: built as explicit topologies
-#: (``repro.cli explore`` sweeps whole grids of these through the parallel
-#: engine).
-TOPOLOGY_POINTS = [
+    ("4-bit helper, 2x clock",
+     topology_config(helper_topology(narrow_width=4, clock_ratio=2))),
+    ("8-bit helper, 2x clock (paper)", topology_config(helper_topology())),
+    ("16-bit helper, 2x clock",
+     topology_config(helper_topology(narrow_width=16, clock_ratio=2))),
+    ("8-bit helper, 1x clock (symmetric)",
+     topology_config(helper_topology(narrow_width=8, clock_ratio=1))),
+    ("8-bit helper, tiny predictor",
+     topology_config(helper_topology(), predictor_entries=32)),
     ("two 8-bit helpers, 2x clock",
      topology_config(helper_topology(narrow_width=8, clock_ratio=2, helpers=2))),
     ("one 16-bit helper, 1x clock",
@@ -52,17 +53,12 @@ def main() -> int:
 
     trace = generate_trace(get_profile(args.benchmark), args.uops, seed=args.seed)
     baseline = simulate_baseline(trace)
-    baseline_energy = report_from_activity(baseline.activity, baseline.slow_cycles,
-                                           label="baseline")
-
-    configs = [(label, helper_cluster_config(**overrides))
-               for label, overrides in DESIGN_POINTS]
-    configs.extend(TOPOLOGY_POINTS)
+    baseline_energy = report_from_result(baseline, label="baseline")
 
     rows = []
-    for label, config in configs:
+    for label, config in DESIGN_POINTS:
         result = simulate(trace, config=config, policy=make_policy(args.policy))
-        energy = report_from_activity(result.activity, result.slow_cycles, label=label)
+        energy = report_from_result(result, label=label)
         rows.append([
             label,
             speedup(baseline, result) * 100.0,

@@ -16,7 +16,7 @@ e.g. ``python examples/quickstart.py gzip ir_nodest``.
 
 import sys
 
-from repro import helper_cluster_config
+from repro.core.config import helper_topology, topology_config
 from repro.core.steering import POLICY_LADDER, make_policy
 from repro.sim.baseline import baseline_pair
 from repro.sim.metrics import ed2_improvement
@@ -26,6 +26,8 @@ from repro.trace.synthetic import generate_trace
 
 TRACE_UOPS = 10_000
 SEED = 2006
+#: The paper's machine: a wide 32-bit host plus one 8-bit helper at 2x clock.
+PAPER_MACHINE = topology_config(helper_topology(narrow_width=8, clock_ratio=2))
 
 
 def main() -> int:
@@ -43,7 +45,7 @@ def main() -> int:
 
     print("Simulating the monolithic baseline and the helper-cluster machine ...")
     base, helper, gain = baseline_pair(trace, make_policy(policy_name),
-                                       helper_config=helper_cluster_config())
+                                       helper_config=PAPER_MACHINE)
 
     rows = [
         ["trace uops", len(trace)],

@@ -33,7 +33,8 @@ __version__ = "1.0.0"
 from repro.core.config import (  # noqa: F401
     MachineConfig,
     baseline_config,
-    helper_cluster_config,
+    helper_topology,
+    topology_config,
 )
 from repro.core.steering import (  # noqa: F401
     POLICY_LADDER,

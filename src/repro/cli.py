@@ -43,7 +43,7 @@ from typing import List, Optional, Sequence
 from repro.analysis.carry import analyze_carry
 from repro.analysis.distance import producer_consumer_distance
 from repro.analysis.narrowness import analyze_narrowness
-from repro.core.config import TABLE_1_PARAMETERS, helper_cluster_config
+from repro.core.config import TABLE_1_PARAMETERS
 from repro.core.steering import policy_registry
 from repro.sim.baseline import baseline_pair
 from repro.sim.experiment import (
@@ -390,19 +390,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     phase_counters = profiler = None
     if args.profile == "timers":
         with _phase_timers() as phase_counters:
-            base, helper, gain = baseline_pair(
-                trace, args.policy, helper_config=helper_cluster_config())
+            base, helper, gain = baseline_pair(trace, args.policy)
     elif args.profile == "cprofile":
         import cProfile
 
         profiler = cProfile.Profile()
         profiler.enable()
-        base, helper, gain = baseline_pair(trace, args.policy,
-                                           helper_config=helper_cluster_config())
+        base, helper, gain = baseline_pair(trace, args.policy)
         profiler.disable()
     else:
-        base, helper, gain = baseline_pair(trace, args.policy,
-                                           helper_config=helper_cluster_config())
+        base, helper, gain = baseline_pair(trace, args.policy)
     rows = [
         ["baseline IPC", base.ipc],
         ["helper IPC", helper.ipc],

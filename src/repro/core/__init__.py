@@ -4,11 +4,11 @@ This subpackage implements the helper-cluster mechanisms proposed by the
 paper on top of the pipeline/memory substrates:
 
 * :mod:`repro.core.config` — machine configuration (Table 1 baseline plus the
-  helper-cluster parameters of §2).
+  cluster topologies of §2).
 * :mod:`repro.core.predictors` — the PC-indexed width predictor with its
   2-bit confidence estimator (§3.2), the carry-width predictor extension
   (§3.5) and the copy-prefetch predictor (§3.6).
-* :mod:`repro.core.cluster` — the wide and narrow backend models.
+* :mod:`repro.core.cluster` — the per-cluster backend model.
 * :mod:`repro.core.copy_engine` — inter-cluster copy generation and
   prefetching (the Canal/Parcerisa/González copy-instruction scheme).
 * :mod:`repro.core.splitting` — wide-instruction splitting for imbalance
@@ -24,12 +24,10 @@ paper on top of the pipeline/memory substrates:
 """
 
 from repro.core.config import (
-    HelperClusterConfig,
     MachineConfig,
     PredictorConfig,
     SchedulerConfig,
     baseline_config,
-    helper_cluster_config,
     helper_topology,
     mixed_helper_topology,
     monolithic_topology,
@@ -50,7 +48,7 @@ from repro.core.predictors import (
     CopyPrefetchPredictor,
     PredictorStats,
 )
-from repro.core.cluster import Backend, BackendKind
+from repro.core.cluster import Backend
 from repro.core.imbalance import ImbalanceMonitor, ImbalanceSample
 from repro.core.copy_engine import CopyEngine, CopyRequest, CopyStats
 from repro.core.splitting import InstructionSplitter, SplitPlan, SplitChunk
@@ -70,12 +68,10 @@ from repro.core.steering import (
 )
 
 __all__ = [
-    "HelperClusterConfig",
     "MachineConfig",
     "PredictorConfig",
     "SchedulerConfig",
     "baseline_config",
-    "helper_cluster_config",
     "helper_topology",
     "mixed_helper_topology",
     "monolithic_topology",
@@ -92,7 +88,6 @@ __all__ = [
     "CopyPrefetchPredictor",
     "PredictorStats",
     "Backend",
-    "BackendKind",
     "ImbalanceMonitor",
     "ImbalanceSample",
     "CopyEngine",

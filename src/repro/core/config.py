@@ -10,17 +10,13 @@ one 8-bit helper at a 2x clock); the monolithic baseline is
 ``monolithic_topology()`` (the host alone).
 
 ``MachineConfig`` bundles the topology with everything else the simulator
-needs: frontend and memory parameters of the monolithic baseline (Table 1),
-the predictor configuration, and — for backwards compatibility — the
-two-cluster :class:`HelperClusterConfig` shim of the original API.  When no
-explicit topology is given, one is derived from the shim, so
-``baseline_config()`` / ``helper_cluster_config()`` / ``with_helper()`` keep
-working unchanged on top of topologies.
+needs: frontend and memory parameters of the monolithic baseline (Table 1)
+and the predictor configuration.  The topology is the only description of
+the machine's clusters, so a machine has one cache key however it is built.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -212,52 +208,6 @@ class Topology:
 
 
 @dataclass(frozen=True)
-class HelperClusterConfig:
-    """Parameters of the narrow helper backend (§2).
-
-    .. deprecated::
-        This is the original two-cluster shim; new code should describe the
-        machine with a :class:`Topology` (``MachineConfig.with_topology`` /
-        ``helper_topology``).  The shim is kept so existing configs, examples
-        and tests run unmodified: when ``MachineConfig.topology`` is unset,
-        the topology is derived from these fields.
-    """
-
-    #: Whether the helper cluster exists (False = monolithic baseline).
-    enabled: bool = True
-    #: Narrow datapath width in bits (8 in the paper's design point).
-    narrow_width: int = NARROW_WIDTH
-    #: Helper-to-wide clock ratio (2 in §2.2).
-    clock_ratio: int = 2
-    #: The helper backend has integer units only (no FPUs), §2.1.
-    has_fp: bool = False
-    #: Latency of an inter-cluster copy in slow cycles (issue in the producer
-    #: cluster + transfer to the consumer's register file).
-    copy_latency_slow: int = 2
-    #: Recovery penalty of a flushing squash, in slow cycles (§3.2).
-    flush_penalty_slow: int = 5
-
-    def __post_init__(self) -> None:
-        if self.narrow_width <= 0 or self.narrow_width > MACHINE_WIDTH:
-            raise ValueError("narrow width must be in (0, machine width]")
-        if MACHINE_WIDTH % self.narrow_width:
-            raise ValueError(
-                f"narrow width must divide the machine width "
-                f"({MACHINE_WIDTH}), got {self.narrow_width}")
-        if self.clock_ratio < 1:
-            raise ValueError("clock ratio must be >= 1")
-        if self.copy_latency_slow < 1:
-            raise ValueError("copy latency must be >= 1 slow cycle")
-        if self.flush_penalty_slow < 0:
-            raise ValueError("flush penalty must be non-negative")
-
-    @property
-    def split_chunks(self) -> int:
-        """Number of narrow chunks a wide instruction splits into (§3.7)."""
-        return max(1, MACHINE_WIDTH // self.narrow_width)
-
-
-@dataclass(frozen=True)
 class MachineConfig:
     """Complete machine description."""
 
@@ -267,76 +217,33 @@ class MachineConfig:
     commit_width: int = 6
     #: Reorder buffer capacity (in-flight uops).
     rob_size: int = 128
-    scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     fp_scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     trace_cache: TraceCacheConfig = field(default_factory=TraceCacheConfig)
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
-    helper: HelperClusterConfig = field(default_factory=HelperClusterConfig)
-    #: Explicit cluster topology.  ``None`` derives a topology from the
-    #: two-cluster ``helper`` shim above (the original API).
-    topology: Optional[Topology] = None
+    #: The execution clusters (default: the paper's wide host plus one
+    #: 8-bit helper at a 2x clock).
+    topology: Topology = field(default_factory=lambda: helper_topology())
 
     def __post_init__(self) -> None:
         if self.fetch_width <= 0 or self.commit_width <= 0 or self.rob_size <= 0:
             raise ValueError("frontend/commit/ROB parameters must be positive")
-
-    # ------------------------------------------------------------- topology
-    def cluster_topology(self) -> Topology:
-        """The machine's topology, deriving one from the shim when unset.
-
-        The derivation *is* :func:`helper_topology` — one construction path
-        for canned topologies and the deprecated two-cluster shim alike, so
-        the shim cannot drift from the topology API (the degeneracy pins in
-        ``tests/test_topology.py`` hold by construction).
-        """
-        if self.topology is not None:
-            return self.topology
-        helper = self.helper
-        return helper_topology(
-            narrow_width=helper.narrow_width,
-            clock_ratio=helper.clock_ratio,
-            helpers=1 if helper.enabled else 0,
-            scheduler=self.scheduler,
-            has_fp=helper.has_fp,
-            copy_latency_slow=helper.copy_latency_slow,
-            flush_penalty_slow=helper.flush_penalty_slow)
 
     # ------------------------------------------------------------- derived
     @property
     def narrow_width(self) -> int:
         """Narrowest helper datapath width.
 
-        Falls back to the shim's ``narrow_width`` for host-only machines so
-        width-accounting (predictor training, Figure 5 statistics) of the
-        monolithic baseline is unchanged by the topology refactor.
+        A host-only machine classifies values at :data:`NARROW_WIDTH`, so
+        width accounting (predictor training, Figure 5 statistics) of the
+        monolithic baseline matches the paper's helper.
         """
-        if self.topology is not None:
-            width = self.topology.narrow_width
-            if width is not None:
-                return width
-        return self.helper.narrow_width
+        width = self.topology.narrow_width
+        return NARROW_WIDTH if width is None else width
 
     @property
     def clock_ratio(self) -> int:
-        if self.topology is not None:
-            return self.topology.max_clock_ratio
-        return self.helper.clock_ratio if self.helper.enabled else 1
-
-    def with_helper(self, **overrides) -> "MachineConfig":
-        """Return a copy with helper-cluster fields overridden.
-
-        .. deprecated:: prefer :meth:`with_topology`.  Kept as a thin shim:
-            it clears any explicit topology so the result is re-derived from
-            the updated two-cluster fields.
-        """
-        warnings.warn(
-            "MachineConfig.with_helper() and the HelperClusterConfig shim are "
-            "deprecated; describe the machine with a Topology "
-            "(MachineConfig.with_topology / helper_topology)",
-            DeprecationWarning, stacklevel=2)
-        return replace(self, helper=replace(self.helper, **overrides),
-                       topology=None)
+        return self.topology.max_clock_ratio
 
     def with_topology(self, topology: Topology) -> "MachineConfig":
         """Return a copy using an explicit cluster topology."""
@@ -349,20 +256,13 @@ class MachineConfig:
     def with_scheduler(self, **overrides) -> "MachineConfig":
         """Return a copy with (integer) scheduler fields overridden.
 
-        Like the original shim, one ``SchedulerConfig`` governs every
-        backend: with an explicit topology the overrides are applied to all
-        of its clusters (use :meth:`with_topology` for per-cluster tuning).
+        The overrides name :class:`SchedulerConfig` fields and are applied
+        to every cluster of the topology (use :meth:`with_topology` for
+        per-cluster tuning).
         """
-        scheduler = replace(self.scheduler, **overrides)
-        topology = self.topology
-        if topology is not None:
-            topology = Topology(tuple(
-                replace(spec,
-                        issue_width=scheduler.issue_width,
-                        queue_size=scheduler.queue_size,
-                        memory_ports=scheduler.memory_ports)
-                for spec in topology.clusters))
-        return replace(self, scheduler=scheduler, topology=topology)
+        SchedulerConfig(**overrides)  # rejects unknown names and bad values
+        return replace(self, topology=Topology(tuple(
+            replace(spec, **overrides) for spec in self.topology.clusters)))
 
     # -------------------------------------------------------------- caching
     def to_key_dict(self) -> dict:
@@ -379,14 +279,11 @@ class MachineConfig:
             "fetch_width": self.fetch_width,
             "commit_width": self.commit_width,
             "rob_size": self.rob_size,
-            "scheduler": asdict(self.scheduler),
             "fp_scheduler": asdict(self.fp_scheduler),
             "memory": asdict(self.memory),
             "trace_cache": asdict(self.trace_cache),
             "predictor": asdict(self.predictor),
-            "helper": asdict(self.helper),
-            "topology": self.cluster_topology().to_key_dict(),
-            "explicit_topology": self.topology is not None,
+            "topology": self.topology.to_key_dict(),
         }
 
 
@@ -530,7 +427,6 @@ def topology_config(topology: Topology, predictor_entries: int = 256,
     """A :class:`MachineConfig` around an explicit topology."""
     return MachineConfig(
         topology=topology,
-        helper=HelperClusterConfig(enabled=topology.num_helpers > 0),
         predictor=PredictorConfig(table_entries=predictor_entries,
                                   use_confidence=use_confidence),
     )
@@ -538,25 +434,7 @@ def topology_config(topology: Topology, predictor_entries: int = 256,
 
 def baseline_config() -> MachineConfig:
     """The monolithic baseline: Table 1 resources, no helper cluster."""
-    return MachineConfig(helper=HelperClusterConfig(enabled=False))
-
-
-def helper_cluster_config(narrow_width: int = NARROW_WIDTH, clock_ratio: int = 2,
-                          predictor_entries: int = 256,
-                          use_confidence: bool = True) -> MachineConfig:
-    """The baseline augmented with the 8-bit helper cluster of §2.
-
-    .. deprecated:: prefer :func:`topology_config` around
-        :func:`helper_topology` for new code; this remains the canned paper
-        design point and is equivalent to
-        ``topology_config(helper_topology(narrow_width, clock_ratio))``.
-    """
-    return MachineConfig(
-        helper=HelperClusterConfig(enabled=True, narrow_width=narrow_width,
-                                   clock_ratio=clock_ratio),
-        predictor=PredictorConfig(table_entries=predictor_entries,
-                                  use_confidence=use_confidence),
-    )
+    return MachineConfig(topology=monolithic_topology())
 
 
 #: Table 1 of the paper, as a report-friendly mapping.  Used by the

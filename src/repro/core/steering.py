@@ -145,7 +145,7 @@ class SteeringContext:
         # Topology facts hoisted out of the per-uop steer loop; recomputed
         # only when the context's config object is swapped.
         if self._topology_of is not self.config:
-            topology = self.config.cluster_topology()
+            topology = self.config.topology
             self._topology_of = self.config
             self._num_helpers = topology.num_helpers
             self._helper_fp_available = any(spec.has_fp for spec in topology.helpers)

@@ -23,7 +23,6 @@ from repro.power.energy import (
     EnergyReport,
     compare_ed2,
     energy_delay_squared,
-    report_from_activity,
     report_from_result,
 )
 
@@ -37,6 +36,5 @@ __all__ = [
     "EnergyReport",
     "energy_delay_squared",
     "compare_ed2",
-    "report_from_activity",
     "report_from_result",
 ]

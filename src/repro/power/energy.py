@@ -19,8 +19,6 @@ comparison straight from cached sweep results.  The helpers here build
 
 * :func:`report_from_result` — from a finished simulation result (the
   normal path);
-* :func:`report_from_activity` — from raw aggregate activity counts via the
-  legacy two-cluster model (kept for the original API and its tests);
 * :func:`compare_ed2` — relative ED² improvement between two reports.
 """
 
@@ -29,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.power.wattch import ActivityCounts, PowerBreakdown, PowerModel
+from repro.power.wattch import PowerBreakdown
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.metrics import SimulationResult
@@ -58,17 +56,6 @@ def energy_delay_squared(breakdown: PowerBreakdown, delay_cycles: float,
     if delay_cycles <= 0:
         raise ValueError("delay must be positive")
     return EnergyReport(label=label, energy=breakdown.total, delay_cycles=delay_cycles)
-
-
-def report_from_activity(activity: ActivityCounts, delay_cycles: float,
-                         label: str = "run", model: PowerModel | None = None) -> EnergyReport:
-    """Convenience: evaluate the legacy two-cluster model and build a report.
-
-    For results produced by the simulator, prefer :func:`report_from_result`
-    (per-cluster accounting, no re-evaluation).
-    """
-    model = model or PowerModel()
-    return energy_delay_squared(model.evaluate(activity), delay_cycles, label)
 
 
 def report_from_result(result: "SimulationResult",

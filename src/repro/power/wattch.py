@@ -21,12 +21,10 @@ gets physically-consistent numbers with zero extra configuration.  Machine-
 wide structures (frontend, rename, ROB, caches, predictors, inter-cluster
 copy wires) are charged from the shared :class:`ActivityCounts`.
 
-Legacy equivalence contract: for the paper's machines (the monolithic
-baseline and the wide + 8-bit@2x pair) the per-cluster evaluation produces
-*exactly* the same per-structure energies as the original two-cluster
-:meth:`PowerModel.evaluate` — the coefficient derivations reduce to the old
-constants there — which is what anchors the energy golden pins
-(``tests/test_energy_golden.py``).
+For the paper's machines (the monolithic baseline and the wide + 8-bit@2x
+pair) the per-cluster evaluation reproduces the original two-cluster model
+exactly, per structure: the coefficient derivations reduce to its constants
+there.  ``tests/test_energy_golden.py`` keeps that model as the oracle.
 """
 
 from __future__ import annotations
@@ -97,10 +95,6 @@ class PowerConfig:
     #: frontend (fetch/decode/trace cache) energy per fetched uop
     frontend_access: float = 7.0
 
-    def width_scale(self, narrow_width: int = NARROW_WIDTH) -> float:
-        """Linear width-scaling factor for narrow-datapath structures."""
-        return narrow_width / MACHINE_WIDTH
-
     def to_key_dict(self) -> dict:
         """Canonical, JSON-serialisable form (the cache-key contract).
 
@@ -139,25 +133,12 @@ class ActivityCounts:
 
     Shared structures (frontend, rename, ROB, caches, predictors, copy
     wires) are counted here; per-cluster execution counts live in
-    :class:`ClusterActivity` records, with the legacy ``wide_*``/``narrow_*``
-    aggregate fields folded back in at the end of a run (host = wide, all
-    helpers summed = narrow) so the original two-cluster accounting remains
-    available unchanged.
+    :class:`ClusterActivity` records.
     """
 
-    wide_cycles: int = 0
     fast_cycles: int = 0
     fetched_uops: int = 0
     committed_uops: int = 0
-    wide_alu_ops: int = 0
-    narrow_alu_ops: int = 0
-    wide_agu_ops: int = 0
-    narrow_agu_ops: int = 0
-    fpu_ops: int = 0
-    wide_regfile_accesses: int = 0
-    narrow_regfile_accesses: int = 0
-    wide_scheduler_ops: int = 0
-    narrow_scheduler_ops: int = 0
     rename_ops: int = 0
     rob_ops: int = 0
     dl0_accesses: int = 0
@@ -165,8 +146,6 @@ class ActivityCounts:
     memory_accesses: int = 0
     predictor_accesses: int = 0
     copies: int = 0
-    helper_present: bool = False
-    narrow_width: int = NARROW_WIDTH
 
 
 @dataclass
@@ -199,14 +178,9 @@ class ClusterCoefficients:
 class PowerModel:
     """Computes :class:`PowerBreakdown` records from activity counts.
 
-    Two evaluation paths:
-
-    * :meth:`evaluate_topology` / :meth:`evaluate_cluster` +
-      :meth:`evaluate_shared` — the per-cluster, topology-generic model the
-      simulator uses;
-    * :meth:`evaluate` — the original two-cluster evaluation over the
-      aggregate :class:`ActivityCounts`, kept (unchanged) as the reference
-      the legacy-equivalence pins compare against.
+    :meth:`evaluate_topology` (one :meth:`evaluate_cluster` per cluster)
+    covers the execution clusters; :meth:`evaluate_shared` covers the
+    machine-wide structures.
     """
 
     def __init__(self, config: PowerConfig | None = None) -> None:
@@ -283,36 +257,3 @@ class PowerModel:
         return {spec.name: self.evaluate_cluster(
                     spec, cluster_activity[spec.name], is_host=(index == 0))
                 for index, spec in enumerate(topology.clusters)}
-
-    # ------------------------------------------------ legacy two-cluster
-    def evaluate(self, activity: ActivityCounts) -> PowerBreakdown:
-        """Original two-cluster evaluation over aggregate counts.
-
-        Kept verbatim as the reference model: for the monolithic baseline
-        and the wide + 8-bit pair the per-cluster path must reproduce these
-        numbers exactly (``tests/test_energy_golden.py``).
-        """
-        cfg = self.config
-        scale = cfg.width_scale(activity.narrow_width)
-        breakdown: Dict[str, float] = {}
-        breakdown["frontend"] = cfg.frontend_access * activity.fetched_uops
-        breakdown["rename"] = cfg.rename_access * activity.rename_ops
-        breakdown["rob"] = cfg.rob_access * activity.rob_ops
-        breakdown["wide_execute"] = (cfg.alu_access * activity.wide_alu_ops
-                                     + cfg.agu_access * activity.wide_agu_ops
-                                     + cfg.fpu_access * activity.fpu_ops)
-        breakdown["narrow_execute"] = scale * (cfg.alu_access * activity.narrow_alu_ops
-                                               + cfg.agu_access * activity.narrow_agu_ops)
-        breakdown["wide_regfile"] = cfg.regfile_access * activity.wide_regfile_accesses
-        breakdown["narrow_regfile"] = scale * cfg.regfile_access * activity.narrow_regfile_accesses
-        breakdown["wide_scheduler"] = cfg.scheduler_access * activity.wide_scheduler_ops
-        breakdown["narrow_scheduler"] = scale * cfg.scheduler_access * activity.narrow_scheduler_ops
-        breakdown["dl0"] = cfg.dl0_access * activity.dl0_accesses
-        breakdown["ul1"] = cfg.ul1_access * activity.ul1_accesses
-        breakdown["memory"] = cfg.memory_access * activity.memory_accesses
-        breakdown["predictors"] = cfg.predictor_access * activity.predictor_accesses
-        breakdown["copies"] = cfg.copy_transfer * activity.copies
-        breakdown["wide_clock"] = cfg.wide_clock_per_cycle * activity.wide_cycles
-        breakdown["narrow_clock"] = (cfg.narrow_clock_per_cycle * activity.fast_cycles
-                                     if activity.helper_present else 0.0)
-        return PowerBreakdown(per_structure=breakdown)

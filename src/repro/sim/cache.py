@@ -38,7 +38,7 @@ from typing import Optional
 from repro.sim.metrics import SimulationResult
 
 #: On-disk entry format; bump when the entry layout changes.
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 #: Version tag folded into every cache key.  Bump whenever a code change
 #: alters simulation *semantics* (cycle accounting, steering behaviour,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.config import MachineConfig, baseline_config, helper_cluster_config
+from repro.core.config import MachineConfig, baseline_config
 from repro.core.steering import make_policy, policy_spec
 from repro.faultkit import FaultInjector, FaultPlan, maybe_inject
 from repro.power.wattch import PowerConfig
@@ -377,7 +377,7 @@ class SweepEngine:
                  faults: Optional[FaultPlan] = None,
                  checkpoint_path: Optional[str] = None,
                  quarantine_path: Optional[str] = None) -> None:
-        self.config = config or helper_cluster_config()
+        self.config = config or MachineConfig()
         requested = default_jobs() if jobs == 0 else max(1, jobs)
         #: the originally requested worker count when the engine clamped it
         #: to the host's CPU count, else None

@@ -21,7 +21,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.config import (
     MachineConfig,
     Topology,
-    helper_cluster_config,
     helper_topology,
     mixed_helper_topology,
     topology_config,
@@ -133,7 +132,7 @@ class TopologyPoint:
 
     @property
     def topology(self) -> Topology:
-        return self.config.cluster_topology()
+        return self.config.topology
 
     def describe(self) -> str:
         """Compact cluster summary, e.g. ``32 + 2x8b@2x``."""
@@ -349,7 +348,7 @@ class ExperimentRunner:
             raise ValueError("trace_uops must be positive")
         self.trace_uops = trace_uops
         self.seed = seed
-        self.config = config or helper_cluster_config()
+        self.config = config or MachineConfig()
         self.use_slicing = use_slicing
         self.use_cache = use_cache
         self.power = power or PowerConfig()

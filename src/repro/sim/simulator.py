@@ -46,7 +46,7 @@ from heapq import heappop, heappush
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.cluster import Backend
-from repro.core.config import MachineConfig, helper_cluster_config
+from repro.core.config import MachineConfig
 from repro.core.copy_engine import CopyEngine, CopyRequest
 from repro.core.imbalance import ImbalanceMonitor
 from repro.core.predictors import WidthPredictor
@@ -271,10 +271,10 @@ class HelperClusterSimulator:
                  reference_loop: Optional[bool] = None,
                  backend: Optional[str] = None) -> None:
         self.trace = trace
-        self.config = config or helper_cluster_config()
+        self.config = config or MachineConfig()
         self.policy = policy or BaselineSteering()
         self.power_config = power or PowerConfig()
-        self.topology = self.config.cluster_topology()
+        self.topology = self.config.topology
         self.clocking = ClockingModel.from_ratios(
             [spec.clock_ratio for spec in self.topology.clusters])
 
@@ -283,20 +283,10 @@ class HelperClusterSimulator:
         self.frontend = Frontend(trace, fetch_width=self.config.fetch_width,
                                  trace_cache=TraceCache(self.config.trace_cache))
         self.clusters: List[Backend] = [
-            Backend(spec, self.config, self.clocking, index=i)
+            Backend(spec, i, self.clocking)
             for i, spec in enumerate(self.topology.clusters)]
         self.wide = self.clusters[0]
         self.helpers: List[Backend] = self.clusters[1:]
-        # Two-cluster compat view: ``sim.narrow`` has always been a Backend,
-        # even on the monolithic baseline (where it is dormant).  The dormant
-        # backend gets its own two-domain clock so none of its methods can
-        # index past the host-only clocking model.
-        if self.helpers:
-            self.narrow = self.helpers[0]
-        else:
-            from repro.core.cluster import BackendKind
-            self.narrow = Backend(BackendKind.NARROW, self.config,
-                                  ClockingModel(ratio=self.clocking.ratio))
         # Cluster-targeted steering: the policy's selector (or the default
         # least-loaded one) resolves steering decisions to concrete clusters.
         selector: Optional[ClusterSelector] = getattr(self.policy, "selector", None)
@@ -318,7 +308,7 @@ class HelperClusterSimulator:
             confidence_threshold=self.config.predictor.confidence_threshold)
         self.copy_engine = CopyEngine(num_domains=len(self.clusters))
         helper_capacity = (sum(spec.queue_size for spec in self.topology.helpers)
-                           or self.config.scheduler.queue_size)
+                           or self.topology.host.queue_size)
         self.imbalance = ImbalanceMonitor(
             queue_size=helper_capacity,
             wide_queue_size=self.topology.host.queue_size)
@@ -1788,14 +1778,11 @@ class HelperClusterSimulator:
 
         activity = result.activity
         activity.fast_cycles = final_cycle
-        activity.wide_cycles = final_cycle // self.clocking.ratio
         activity.fetched_uops = self.frontend.fetched
         activity.committed_uops = result.committed_uops
         activity.dl0_accesses = self.memory.dl0.stats.accesses
         activity.ul1_accesses = self.memory.ul1.stats.accesses
         activity.memory_accesses = self.memory.stats.memory_accesses
-        activity.helper_present = self._helper_enabled
-        activity.narrow_width = self.config.narrow_width
         activity.predictor_accesses += (self.width_predictor.stats.updates
                                         + self.width_predictor.carry_stats.updates
                                         + self.width_predictor.copy_stats.updates)
@@ -1809,20 +1796,6 @@ class HelperClusterSimulator:
             cluster.cycles = final_cycle // periods[backend.index]
         result.cluster_activity = {cluster.name: cluster
                                    for cluster in self._cluster_acts}
-
-        # Legacy aggregate view: host = wide, all helpers summed = narrow.
-        host = self._cluster_acts[0]
-        activity.wide_alu_ops = host.alu_ops
-        activity.wide_agu_ops = host.agu_ops
-        activity.wide_regfile_accesses = host.regfile_accesses
-        activity.wide_scheduler_ops = host.scheduler_ops
-        activity.fpu_ops = sum(c.fpu_ops for c in self._cluster_acts)
-        activity.narrow_alu_ops = sum(c.alu_ops for c in self._cluster_acts[1:])
-        activity.narrow_agu_ops = sum(c.agu_ops for c in self._cluster_acts[1:])
-        activity.narrow_regfile_accesses = sum(
-            c.regfile_accesses for c in self._cluster_acts[1:])
-        activity.narrow_scheduler_ops = sum(
-            c.scheduler_ops for c in self._cluster_acts[1:])
 
         # Energy: evaluate the per-cluster power model so every result (and
         # every cached result) carries its breakdowns and ED² for free.

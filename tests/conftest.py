@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import baseline_config, helper_cluster_config
+from repro.core.config import baseline_config, helper_topology, topology_config
 from repro.trace.profiles import get_profile
 from repro.trace.synthetic import generate_trace
 
@@ -34,7 +34,7 @@ def tiny_trace():
 
 @pytest.fixture()
 def helper_config():
-    return helper_cluster_config()
+    return topology_config(helper_topology())
 
 
 @pytest.fixture()

@@ -1,16 +1,18 @@
 """Tests for config, cluster/backends, imbalance, copy engine and splitting."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.cluster import Backend, BackendKind
+from repro.core.cluster import Backend
 from repro.core.config import (
-    TABLE_1_PARAMETERS,
-    HelperClusterConfig,
     MachineConfig,
     PredictorConfig,
     SchedulerConfig,
+    TABLE_1_PARAMETERS,
     baseline_config,
-    helper_cluster_config,
+    helper_topology,
+    monolithic_topology,
 )
 from repro.core.copy_engine import CopyEngine
 from repro.core.imbalance import ImbalanceMonitor, ImbalanceSample
@@ -19,38 +21,49 @@ from repro.isa.opcodes import Opcode
 from repro.isa.registers import ArchReg
 from repro.isa.uop import UopBuilder
 from repro.isa.values import join_bytes, split_bytes
-from repro.pipeline.clocking import ClockDomain
+from repro.pipeline.clocking import ClockDomain, ClockingModel
 
 
 class TestConfig:
     def test_baseline_has_no_helper(self):
         config = baseline_config()
-        assert not config.helper.enabled
+        assert config.topology.num_helpers == 0
         assert config.clock_ratio == 1
+        # A host-only machine still classifies values at the paper's width.
+        assert config.narrow_width == 8
 
     def test_helper_config_defaults_match_paper(self):
-        config = helper_cluster_config()
-        assert config.helper.enabled
-        assert config.helper.narrow_width == 8
-        assert config.helper.clock_ratio == 2
+        config = MachineConfig()
+        assert config.topology == helper_topology()
+        assert config.narrow_width == 8
+        assert config.clock_ratio == 2
         assert config.predictor.table_entries == 256
-        assert config.scheduler.queue_size == 32
-        assert config.scheduler.issue_width == 3
+        assert config.topology.host.queue_size == 32
+        assert config.topology.host.issue_width == 3
         assert config.commit_width == 6
+
+    def test_topology_is_the_only_cluster_description(self):
+        # Cluster parameters live only in the topology: the config has no
+        # second description of them, and its key carries the topology once.
+        names = {field.name for field in dataclasses.fields(MachineConfig)}
+        assert "topology" in names
+        assert "helper" not in names and "scheduler" not in names
+        assert set(MachineConfig().to_key_dict()) == names
+        assert baseline_config() == MachineConfig(topology=monolithic_topology())
 
     def test_table1_text(self):
         assert "Main Memory" in TABLE_1_PARAMETERS
         assert TABLE_1_PARAMETERS["Commit Width"] == "6 instructions"
 
     def test_split_chunks(self):
-        assert HelperClusterConfig(narrow_width=8).split_chunks == 4
-        assert HelperClusterConfig(narrow_width=16).split_chunks == 2
+        assert helper_topology(narrow_width=8).helpers[0].split_chunks == 4
+        assert helper_topology(narrow_width=16).helpers[0].split_chunks == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            HelperClusterConfig(narrow_width=0)
+            helper_topology(narrow_width=0)
         with pytest.raises(ValueError):
-            HelperClusterConfig(clock_ratio=0)
+            helper_topology(clock_ratio=0)
         with pytest.raises(ValueError):
             SchedulerConfig(queue_size=0)
         with pytest.raises(ValueError):
@@ -58,47 +71,57 @@ class TestConfig:
         with pytest.raises(ValueError):
             MachineConfig(fetch_width=0)
 
-    def test_with_helpers(self):
-        config = helper_cluster_config()
-        ablation = config.with_helper(clock_ratio=1).with_predictor(table_entries=64)
-        assert ablation.helper.clock_ratio == 1
+    def test_with_topology_and_predictor(self):
+        config = MachineConfig()
+        ablation = (config.with_topology(helper_topology(clock_ratio=1))
+                    .with_predictor(table_entries=64))
+        assert ablation.clock_ratio == 1
         assert ablation.predictor.table_entries == 64
-        assert config.helper.clock_ratio == 2  # original untouched
+        assert config.clock_ratio == 2  # original untouched
 
     def test_with_scheduler(self):
-        config = helper_cluster_config().with_scheduler(queue_size=16)
-        assert config.scheduler.queue_size == 16
+        config = MachineConfig().with_scheduler(queue_size=16)
+        assert all(spec.queue_size == 16 for spec in config.topology)
+        assert all(spec.issue_width == 3 for spec in config.topology)
+        with pytest.raises(TypeError):
+            MachineConfig().with_scheduler(queue_depth=16)
+        with pytest.raises(ValueError):
+            MachineConfig().with_scheduler(issue_width=0)
+
+
+def _backend(index: int) -> Backend:
+    topology = helper_topology()
+    clocking = ClockingModel.from_ratios(topology.clock_ratios)
+    return Backend(topology[index], index, clocking)
 
 
 class TestBackend:
     def test_wide_backend_properties(self):
-        backend = Backend(BackendKind.WIDE, helper_cluster_config())
+        backend = _backend(0)
         assert backend.domain is ClockDomain.WIDE
         assert not backend.is_narrow
         assert backend.datapath_width == 32
         assert backend.units.supports(Opcode.FADD)
 
     def test_narrow_backend_properties(self):
-        backend = Backend(BackendKind.NARROW, helper_cluster_config())
+        backend = _backend(1)
         assert backend.is_narrow
         assert backend.datapath_width == 8
         assert not backend.units.supports(Opcode.FADD)
         assert backend.units.supports(Opcode.ADD)
 
     def test_activity_schedule(self):
-        config = helper_cluster_config()
-        wide = Backend(BackendKind.WIDE, config)
-        narrow = Backend(BackendKind.NARROW, config)
+        wide, narrow = _backend(0), _backend(1)
         assert wide.active(0) and not wide.active(1)
         assert narrow.active(0) and narrow.active(1)
 
     def test_width_check(self):
-        narrow = Backend(BackendKind.NARROW, helper_cluster_config())
+        narrow = _backend(1)
         assert narrow.can_execute_width(value_is_narrow=True)
         assert not narrow.can_execute_width(value_is_narrow=False)
 
     def test_reset(self):
-        backend = Backend(BackendKind.NARROW, helper_cluster_config())
+        backend = _backend(1)
         backend.stats.dispatched = 5
         backend.reset()
         assert backend.stats.dispatched == 0

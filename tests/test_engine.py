@@ -12,10 +12,14 @@ import dataclasses
 
 import pytest
 
-from repro.core.config import helper_cluster_config
+from repro.core.config import helper_topology, topology_config
 from repro.sim.cache import ResultCache, result_key
 from repro.sim.engine import SweepEngine, SweepJob, execute_job, job_seed
-from repro.sim.experiment import ExperimentRunner, run_spec_suite
+from repro.sim.experiment import (
+    ExperimentRunner,
+    build_topology_grid,
+    run_spec_suite,
+)
 from repro.sim.metrics import SimulationResult
 from repro.trace.profiles import get_profile
 from repro.trace.synthetic import generate_trace
@@ -56,7 +60,7 @@ class TestDeterminism:
 
     def test_job_reexecution_is_bit_identical(self):
         job = SweepJob("gzip", "ir", UOPS, job_seed(SEED, "gzip"))
-        config = helper_cluster_config()
+        config = topology_config(helper_topology())
         first = execute_job(job, config)
         second = execute_job(job, config)
         assert dataclasses.asdict(first) == dataclasses.asdict(second)
@@ -94,6 +98,25 @@ class TestResultCache:
         runner.run_suite([get_profile("gcc")], ["n888"])
         assert runner.cache.hits == 2          # baseline + policy
         assert runner.cache.misses == 0
+
+    def test_explore_paper_point_served_from_ladder_cache(self, tmp_path):
+        # A default-config ladder run and the explore grid's paper point
+        # (8-bit, 2x, 1 helper) are one machine with one cache key, so the
+        # grid computes nothing for that point.
+        ladder = ExperimentRunner(trace_uops=UOPS, seed=SEED,
+                                  cache_dir=str(tmp_path))
+        ladder_sweep = ladder.run_suite([get_profile("gcc")], ["ir"])
+        explore = ExperimentRunner(trace_uops=UOPS, seed=SEED,
+                                   cache_dir=str(tmp_path))
+        points = build_topology_grid(widths=(8,), ratios=(2,),
+                                     helper_counts=(1,))
+        assert [point.name for point in points] == ["w8x2h1"]
+        grid = explore.run_topology_grid(points, [get_profile("gcc")],
+                                         policy="ir")
+        assert explore.report.computed == 0
+        assert explore.cache.hits == 2          # baseline + paper point
+        assert grid.results[("w8x2h1", "gcc")] == \
+            ladder_sweep.results["gcc"].by_policy["ir"]
 
     def test_bypass_flag_skips_reads(self, tmp_path):
         self._run(tmp_path)
@@ -193,7 +216,7 @@ class TestResultCache:
 # ---------------------------------------------------------------------------
 class TestCacheKeys:
     def test_key_sensitivity(self):
-        engine = SweepEngine(config=helper_cluster_config())
+        engine = SweepEngine(config=topology_config(helper_topology()))
         base = SweepJob("gcc", "ir", 1000, 2006)
         assert engine.key_for(base) == engine.key_for(SweepJob("gcc", "ir", 1000, 2006))
         for other in [SweepJob("gzip", "ir", 1000, 2006),
@@ -204,16 +227,16 @@ class TestCacheKeys:
             assert engine.key_for(other) != engine.key_for(base)
 
     def test_key_depends_on_config(self):
-        narrow8 = SweepEngine(config=helper_cluster_config(narrow_width=8))
-        narrow16 = SweepEngine(config=helper_cluster_config(narrow_width=16))
+        narrow8 = SweepEngine(config=topology_config(helper_topology(narrow_width=8)))
+        narrow16 = SweepEngine(config=topology_config(helper_topology(narrow_width=16)))
         job = SweepJob("gcc", "ir", 1000, 2006)
         assert narrow8.key_for(job) != narrow16.key_for(job)
 
     def test_baseline_key_ignores_sweep_config(self):
         # The baseline always runs on the monolithic machine, so its cached
         # result is shared across helper-config sweeps.
-        narrow8 = SweepEngine(config=helper_cluster_config(narrow_width=8))
-        narrow16 = SweepEngine(config=helper_cluster_config(narrow_width=16))
+        narrow8 = SweepEngine(config=topology_config(helper_topology(narrow_width=8)))
+        narrow16 = SweepEngine(config=topology_config(helper_topology(narrow_width=16)))
         job = SweepJob("gcc", "baseline", 1000, 2006)
         assert narrow8.key_for(job) == narrow16.key_for(job)
 
@@ -223,19 +246,19 @@ class TestCacheKeys:
 # ---------------------------------------------------------------------------
 class TestEngineLifecycle:
     def test_close_removes_the_private_trace_dir(self):
-        engine = SweepEngine(config=helper_cluster_config())
+        engine = SweepEngine(config=topology_config(helper_topology()))
         store_dir = engine.trace_store.store_dir
         assert store_dir.is_dir()
         engine.close()
         assert not store_dir.exists()
 
     def test_close_is_idempotent(self):
-        engine = SweepEngine(config=helper_cluster_config())
+        engine = SweepEngine(config=topology_config(helper_topology()))
         engine.close()
         engine.close()  # must not raise on the already-removed directory
 
     def test_context_manager_cleans_up(self):
-        with SweepEngine(config=helper_cluster_config()) as engine:
+        with SweepEngine(config=topology_config(helper_topology())) as engine:
             store_dir = engine.trace_store.store_dir
             engine.run_jobs([SweepJob("gcc", "ir", 400, SEED)])
             assert store_dir.is_dir()
@@ -243,7 +266,7 @@ class TestEngineLifecycle:
 
     def test_context_manager_cleans_up_on_error(self):
         with pytest.raises(RuntimeError, match="boom"):
-            with SweepEngine(config=helper_cluster_config()) as engine:
+            with SweepEngine(config=topology_config(helper_topology())) as engine:
                 store_dir = engine.trace_store.store_dir
                 raise RuntimeError("boom")
         assert not store_dir.exists()
@@ -251,7 +274,7 @@ class TestEngineLifecycle:
     def test_caller_supplied_dir_is_preserved(self, tmp_path):
         store_dir = tmp_path / "traces"
         store_dir.mkdir()
-        with SweepEngine(config=helper_cluster_config(),
+        with SweepEngine(config=topology_config(helper_topology()),
                          trace_store_dir=str(store_dir)) as engine:
             engine.run_jobs([SweepJob("gcc", "ir", 400, SEED)])
         assert store_dir.is_dir(), "the caller owns an explicit directory"
@@ -259,7 +282,7 @@ class TestEngineLifecycle:
     def test_garbage_collected_engine_removes_its_dir(self):
         import gc
 
-        engine = SweepEngine(config=helper_cluster_config())
+        engine = SweepEngine(config=topology_config(helper_topology()))
         store_dir = engine.trace_store.store_dir
         del engine
         gc.collect()

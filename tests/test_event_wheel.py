@@ -24,7 +24,6 @@ import pytest
 
 from repro.core.config import (
     baseline_config,
-    helper_cluster_config,
     helper_topology,
     mixed_helper_topology,
     monolithic_topology,
@@ -48,7 +47,7 @@ BACKENDS = [
 #: the monolithic baseline, a two-helper machine, a slow 16-bit helper and
 #: the asymmetric 8-bit@2x + 16-bit@1x mix.
 TOPOLOGY_FACTORIES = [
-    ("paper", lambda: helper_cluster_config()),
+    ("paper", lambda: topology_config(helper_topology())),
     ("mono", lambda: topology_config(monolithic_topology())),
     ("2x8b", lambda: topology_config(helper_topology(helpers=2))),
     ("16b@1x", lambda: topology_config(helper_topology(narrow_width=16,
@@ -112,7 +111,7 @@ class TestEventWheelEquivalence:
         trace = generate_trace(SPEC_INT_2000["gcc"], 2_000, seed=2006)
         for policy_name in policy_registry.names():
             config = (baseline_config() if policy_name == "baseline"
-                      else helper_cluster_config())
+                      else topology_config(helper_topology()))
             wheel, reference = _run_both(trace, config, policy_name,
                                          backend=backend)
             _assert_identical(wheel, reference,
@@ -133,18 +132,18 @@ class TestReferenceLoopKnob:
     def test_env_var_selects_reference_loop(self, monkeypatch):
         trace = generate_trace(SPEC_INT_2000["gzip"], 500, seed=1)
         monkeypatch.setenv("REPRO_REFERENCE_LOOP", "1")
-        sim = HelperClusterSimulator(trace, config=helper_cluster_config(),
+        sim = HelperClusterSimulator(trace, config=topology_config(helper_topology()),
                                      policy=make_policy("ir"))
         assert sim._reference_loop
         monkeypatch.setenv("REPRO_REFERENCE_LOOP", "0")
-        sim = HelperClusterSimulator(trace, config=helper_cluster_config(),
+        sim = HelperClusterSimulator(trace, config=topology_config(helper_topology()),
                                      policy=make_policy("ir"))
         assert not sim._reference_loop
 
     def test_explicit_argument_wins_over_env(self, monkeypatch):
         trace = generate_trace(SPEC_INT_2000["gzip"], 500, seed=1)
         monkeypatch.setenv("REPRO_REFERENCE_LOOP", "1")
-        sim = HelperClusterSimulator(trace, config=helper_cluster_config(),
+        sim = HelperClusterSimulator(trace, config=topology_config(helper_topology()),
                                      policy=make_policy("ir"),
                                      reference_loop=False)
         assert not sim._reference_loop

@@ -16,7 +16,7 @@ import pytest
 from repro.core.copy_engine import CopyEngine
 from repro.fuzz.generate import generate_case
 from repro.pipeline.scheduler import IssueQueue
-from repro.sim.hotstate import DynTable, WaiterPool, resolve_backend
+from repro.sim.hotstate import DynTable, WaiterPool, compiled_available
 from repro.sim.simulator import HelperClusterSimulator
 
 
@@ -172,11 +172,14 @@ class TestColumnGrowth:
         assert drained == sorted(drained)
 
 
-@pytest.mark.parametrize("backend", ["python", "compiled"])
+@pytest.mark.parametrize("backend", [
+    "python",
+    pytest.param("compiled", marks=pytest.mark.skipif(
+        not compiled_available(),
+        reason="repro._corekernel extension not built")),
+])
 class TestRecoveryDrainsWaiters:
     def test_squash_leaves_no_stranded_waiter_slots(self, backend):
-        if backend == "compiled" and resolve_backend("compiled")[1] is None:
-            pytest.skip("compiled backend unavailable")
         # fuzz seed 319 produces dozens of width-misprediction recoveries
         # across three helper clusters (dense squash + redispatch traffic)
         case = generate_case(319)

@@ -8,12 +8,12 @@ traces, and robustness to degenerate configurations.
 import pytest
 
 from repro import quick_speedup
-from repro.core.config import helper_cluster_config
+from repro.core.config import helper_topology, topology_config
 from repro.core.steering import make_policy
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import ArchReg
 from repro.isa.uop import UopBuilder
-from repro.power.energy import report_from_activity
+from repro.power.energy import report_from_result
 from repro.sim.baseline import simulate_baseline
 from repro.sim.simulator import simulate
 from repro.trace.synthetic import generate_trace
@@ -72,7 +72,7 @@ class TestHandBuiltTrace:
 
     def test_helper_executes_handmade_trace_and_uses_narrow_cluster(self):
         trace = _hand_built_trace()
-        result = simulate(trace, config=helper_cluster_config(),
+        result = simulate(trace, config=topology_config(helper_topology()),
                           policy=make_policy("n888_br_lr_cr"))
         assert result.committed_uops == len(trace)
         # The loop body is entirely narrow (byte loads, small adds, a counter
@@ -81,7 +81,7 @@ class TestHandBuiltTrace:
 
     def test_branches_follow_flags_producer(self):
         trace = _hand_built_trace()
-        result = simulate(trace, config=helper_cluster_config(),
+        result = simulate(trace, config=topology_config(helper_topology()),
                           policy=make_policy("n888_br"))
         assert result.steer_reasons.get("br_narrow_flag", 0) > 0
 
@@ -93,7 +93,7 @@ class TestWorkloadSuiteEndToEnd:
         for app in apps[:3]:
             trace = generate_trace(app.profile, 800, seed=app.seed)
             base = simulate_baseline(trace)
-            helper = simulate(trace, config=helper_cluster_config(),
+            helper = simulate(trace, config=topology_config(helper_topology()),
                               policy=make_policy("n888_br_lr_cr"))
             assert base.committed_uops == helper.committed_uops == len(trace)
 
@@ -101,10 +101,10 @@ class TestWorkloadSuiteEndToEnd:
 class TestEnergyIntegration:
     def test_energy_reports_from_simulation(self, tiny_trace):
         base = simulate_baseline(tiny_trace)
-        helper = simulate(tiny_trace, config=helper_cluster_config(),
+        helper = simulate(tiny_trace, config=topology_config(helper_topology()),
                           policy=make_policy("ir"))
-        base_report = report_from_activity(base.activity, base.slow_cycles, "base")
-        helper_report = report_from_activity(helper.activity, helper.slow_cycles, "ir")
+        base_report = report_from_result(base, "base")
+        helper_report = report_from_result(helper, "ir")
         assert base_report.energy > 0
         assert helper_report.energy > 0
         # The helper machine fetches/executes the same committed work plus
@@ -114,22 +114,23 @@ class TestEnergyIntegration:
 
 class TestDegenerateConfigurations:
     def test_tiny_scheduler_still_completes(self, tiny_trace):
-        config = helper_cluster_config().with_scheduler(queue_size=4, issue_width=1)
+        config = topology_config(helper_topology()).with_scheduler(
+            queue_size=4, issue_width=1)
         result = simulate(tiny_trace, config=config, policy=make_policy("n888"))
         assert result.committed_uops == len(tiny_trace)
 
     def test_tiny_rob_still_completes(self, tiny_trace):
         from dataclasses import replace
-        config = replace(helper_cluster_config(), rob_size=16)
+        config = replace(topology_config(helper_topology()), rob_size=16)
         result = simulate(tiny_trace, config=config, policy=make_policy("n888_br_lr_cr"))
         assert result.committed_uops == len(tiny_trace)
 
     def test_predictor_of_one_entry_rejected(self):
         with pytest.raises(ValueError):
-            helper_cluster_config(predictor_entries=3)
+            topology_config(helper_topology(), predictor_entries=3)
 
     def test_quick_speedup_with_custom_config(self):
-        config = helper_cluster_config(narrow_width=16)
+        config = topology_config(helper_topology(narrow_width=16))
         result = quick_speedup("gzip", policy="n888", trace_uops=800, seed=2,
                                config=config)
         assert "speedup" in result

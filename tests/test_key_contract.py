@@ -25,8 +25,8 @@ from repro.core.config import (
     ClusterSpec,
     MachineConfig,
     Topology,
-    helper_cluster_config,
     helper_topology,
+    topology_config,
 )
 from repro.core.steering import PolicySpec, Scheme, policy_spec
 from repro.power.wattch import PowerConfig
@@ -41,7 +41,7 @@ KEY_EXEMPT = {
 
 #: The key-contributing instances under test.
 SUBJECTS = [
-    pytest.param(helper_cluster_config(), id="MachineConfig"),
+    pytest.param(MachineConfig(), id="MachineConfig"),
     pytest.param(policy_spec("ir_wa"), id="PolicySpec"),
     pytest.param(PowerConfig(), id="PowerConfig"),
     pytest.param(helper_topology().helpers[0], id="ClusterSpec"),
@@ -72,9 +72,6 @@ def _candidates(value):
     if dataclasses.is_dataclass(value):
         mutated = _mutate_any_field(value)
         return [] if mutated is None else [mutated]
-    if value is None:
-        # Optional[Topology] on MachineConfig.
-        return [helper_topology(helpers=2)]
     return []
 
 
@@ -138,15 +135,15 @@ class TestPowerConfigReachesEngineKey:
         from repro.sim.engine import SweepEngine, SweepJob
 
         job = SweepJob("gcc", "ir", 1000, 2006)
-        default = SweepEngine(config=helper_cluster_config())
-        tweaked = SweepEngine(config=helper_cluster_config(),
+        default = SweepEngine(config=topology_config(helper_topology()))
+        tweaked = SweepEngine(config=topology_config(helper_topology()),
                               power=PowerConfig(alu_access=11.0))
         assert default.key_for(job) != tweaked.key_for(job)
 
     def test_job_carried_power_overrides_engine_power(self):
         from repro.sim.engine import SweepEngine, SweepJob
 
-        engine = SweepEngine(config=helper_cluster_config())
+        engine = SweepEngine(config=topology_config(helper_topology()))
         plain = SweepJob("gcc", "ir", 1000, 2006)
         carried = SweepJob("gcc", "ir", 1000, 2006,
                            power=PowerConfig(enabled=False))
@@ -158,7 +155,7 @@ class TestPowerConfigReachesEngineKey:
         from repro.sim.engine import SweepEngine, SweepJob
 
         job = SweepJob("gcc", "baseline", 1000, 2006)
-        default = SweepEngine(config=helper_cluster_config())
-        tweaked = SweepEngine(config=helper_cluster_config(),
+        default = SweepEngine(config=topology_config(helper_topology()))
+        tweaked = SweepEngine(config=topology_config(helper_topology()),
                               power=PowerConfig(wide_clock_per_cycle=13.0))
         assert default.key_for(job) != tweaked.key_for(job)

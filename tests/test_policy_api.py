@@ -11,8 +11,6 @@ Covers the PR's API-redesign surface:
   helper resolution; the width-aware selector routes by requirement width
   (9-16-bit work to a 16-bit helper, never to an 8-bit one) and degenerates
   to the default behaviour on the paper's single-helper machine.
-* **Deprecated shim** — ``with_helper()`` warns, and the derived topology is
-  identical to ``helper_topology()``.
 """
 
 from __future__ import annotations
@@ -23,9 +21,6 @@ import pytest
 
 from repro.core.cluster import Backend
 from repro.core.config import (
-    MachineConfig,
-    HelperClusterConfig,
-    helper_cluster_config,
     helper_topology,
     mixed_helper_topology,
     topology_config,
@@ -135,7 +130,7 @@ class TestAdHocSchemeCombos:
         assert "known policies" in message and "known schemes" in message
 
     def test_ad_hoc_combo_simulates(self, tiny_trace):
-        result = simulate(tiny_trace, config=helper_cluster_config(),
+        result = simulate(tiny_trace, config=topology_config(helper_topology()),
                           policy=make_policy("n888+cr"))
         assert result.policy == "n888+cr"
         assert result.committed_uops == len(tiny_trace)
@@ -154,7 +149,7 @@ class TestPolicySpecCacheKey:
         assert len(keys) == 3
 
     def test_engine_keys_never_alias_selector_variants(self):
-        engine = SweepEngine(config=helper_cluster_config())
+        engine = SweepEngine(config=topology_config(helper_topology()))
         ir = engine.key_for(SweepJob("gcc", "ir", 1000, 2006))
         ir_wa = engine.key_for(SweepJob("gcc", "ir_wa", 1000, 2006))
         ad_hoc = engine.key_for(SweepJob("gcc", "n888+cr", 1000, 2006))
@@ -170,15 +165,15 @@ class TestPolicySpecCacheKey:
                           schemes=frozenset({Scheme.N888}))
         job = SweepJob("gcc", "unregistered_custom", 1200, 2006)
         with pytest.raises(KeyError):
-            execute_job(job, helper_cluster_config())  # name alone: unknown
-        result = execute_job(job, helper_cluster_config(), spec=spec)
+            execute_job(job, topology_config(helper_topology()))  # name alone: unknown
+        result = execute_job(job, topology_config(helper_topology()), spec=spec)
         assert result.policy == "unregistered_custom"
 
     def test_engine_runs_ad_hoc_policy_and_caches_it(self, tmp_path):
         from repro.sim.cache import ResultCache
 
         cache = ResultCache(tmp_path / "cache")
-        engine = SweepEngine(config=helper_cluster_config(), cache=cache)
+        engine = SweepEngine(config=topology_config(helper_topology()), cache=cache)
         job = SweepJob("gcc", "n888+cr", 1200, 2006)
         first = engine.run_jobs([job])[job]
         assert first.policy == "n888+cr"
@@ -192,9 +187,8 @@ class TestPolicySpecCacheKey:
 # Selector unit behaviour
 # ---------------------------------------------------------------------------
 def _bind_selector(selector, topology):
-    config = topology_config(topology)
     clocking = ClockingModel.from_ratios([spec.clock_ratio for spec in topology])
-    backends = [Backend(spec, config, clocking, index=i)
+    backends = [Backend(spec, i, clocking)
                 for i, spec in enumerate(topology)]
     selector.bind(topology, backends)
     return backends
@@ -318,9 +312,9 @@ class TestWidthAwareSteering:
         Only the self-describing labels (policy name, recorded selector) may
         differ; every timing, steering and energy metric must be identical.
         """
-        r_ir = simulate(tiny_trace, config=helper_cluster_config(),
+        r_ir = simulate(tiny_trace, config=topology_config(helper_topology()),
                         policy=make_policy("ir"))
-        r_wa = simulate(tiny_trace, config=helper_cluster_config(),
+        r_wa = simulate(tiny_trace, config=topology_config(helper_topology()),
                         policy=make_policy("ir_wa"))
         assert r_wa.selector == "width_aware" and r_ir.selector == "least_loaded"
         assert replace(r_wa, policy="ir", selector=r_ir.selector) == r_ir
@@ -362,19 +356,3 @@ class TestWidthAwareSteering:
         first = simulate(halfword_trace, config=config, policy=make_policy("ir_wa"))
         second = simulate(halfword_trace, config=config, policy=make_policy("ir_wa"))
         assert first == second
-
-
-# ---------------------------------------------------------------------------
-# Deprecated two-cluster shim
-# ---------------------------------------------------------------------------
-class TestDeprecatedHelperShim:
-    def test_with_helper_warns_and_matches_helper_topology(self):
-        config = helper_cluster_config()
-        with pytest.warns(DeprecationWarning, match="with_helper"):
-            shimmed = config.with_helper(narrow_width=16, clock_ratio=4)
-        assert shimmed.cluster_topology() == helper_topology(narrow_width=16,
-                                                             clock_ratio=4)
-
-    def test_helper_cluster_config_shim_derives_paper_topology(self):
-        config = MachineConfig(helper=HelperClusterConfig(enabled=True))
-        assert config.cluster_topology() == helper_topology()

@@ -5,65 +5,101 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import (
     ClusterSpec,
+    helper_topology,
     mixed_helper_topology,
     monolithic_topology,
 )
-from repro.power.energy import EnergyReport, compare_ed2, energy_delay_squared, report_from_activity
-from repro.power.wattch import ActivityCounts, ClusterActivity, PowerConfig, PowerModel
+from repro.power.energy import (
+    EnergyReport,
+    compare_ed2,
+    energy_delay_squared,
+    report_from_result,
+)
+from repro.power.wattch import (
+    ActivityCounts,
+    ClusterActivity,
+    PowerBreakdown,
+    PowerConfig,
+    PowerModel,
+)
 
 
-def activity(**overrides) -> ActivityCounts:
-    base = ActivityCounts(
-        wide_cycles=1000, fast_cycles=2000, fetched_uops=5000, committed_uops=5000,
-        wide_alu_ops=2000, narrow_alu_ops=1000, wide_agu_ops=800, narrow_agu_ops=200,
-        fpu_ops=100, wide_regfile_accesses=9000, narrow_regfile_accesses=3000,
-        wide_scheduler_ops=3000, narrow_scheduler_ops=1500, rename_ops=5000,
-        rob_ops=5000, dl0_accesses=1500, ul1_accesses=100, memory_accesses=10,
-        predictor_accesses=5000, copies=500, helper_present=True)
-    for key, value in overrides.items():
-        setattr(base, key, value)
-    return base
+def shared_activity(**overrides) -> ActivityCounts:
+    counts = dict(
+        fast_cycles=2000, fetched_uops=5000, committed_uops=5000,
+        rename_ops=5000, rob_ops=5000, dl0_accesses=1500, ul1_accesses=100,
+        memory_accesses=10, predictor_accesses=5000, copies=500)
+    counts.update(overrides)
+    return ActivityCounts(**counts)
+
+
+def machine_breakdown(topology=None, shared=None, **host_overrides) -> PowerBreakdown:
+    """Whole-machine energy of a wide host (+ the paper's 8-bit@2x helper)
+    over fixed activity counts: per-cluster structures keyed
+    ``<cluster>_<structure>``, shared structures under their own names."""
+    topology = topology or helper_topology()
+    host = dict(cycles=1000, alu_ops=2000, agu_ops=800, fpu_ops=100,
+                regfile_accesses=9000, scheduler_ops=3000)
+    host.update(host_overrides)
+    acts = {"wide": ClusterActivity(name="wide", **host)}
+    for spec in topology.helpers:
+        acts[spec.name] = ClusterActivity(
+            name=spec.name, datapath_width=spec.datapath_width,
+            clock_ratio=spec.clock_ratio, cycles=2000, alu_ops=1000,
+            agu_ops=200, regfile_accesses=3000, scheduler_ops=1500)
+    model = PowerModel()
+    per_structure = {}
+    for name, breakdown in model.evaluate_topology(topology, acts).items():
+        for key, value in breakdown.per_structure.items():
+            per_structure[f"{name}_{key}"] = value
+    shared = shared or shared_activity()
+    per_structure.update(model.evaluate_shared(shared).per_structure)
+    return PowerBreakdown(per_structure=per_structure)
 
 
 class TestPowerModel:
     def test_total_positive(self):
-        breakdown = PowerModel().evaluate(activity())
-        assert breakdown.total > 0
+        assert machine_breakdown().total > 0
 
     def test_narrow_structures_cheaper_per_access(self):
-        config = PowerConfig()
-        model = PowerModel(config)
-        wide_only = model.evaluate(activity(narrow_alu_ops=0, wide_alu_ops=1000))
-        narrow_only = model.evaluate(activity(narrow_alu_ops=1000, wide_alu_ops=0))
-        assert narrow_only.per_structure["narrow_execute"] < wide_only.per_structure["wide_execute"]
+        topology = helper_topology()
+        model = PowerModel()
+        counts = dict(cycles=0, alu_ops=1000)
+        wide = model.evaluate_cluster(
+            topology.host, ClusterActivity(name="wide", **counts), is_host=True)
+        narrow = model.evaluate_cluster(
+            topology.helpers[0],
+            ClusterActivity(name="narrow", datapath_width=8, clock_ratio=2,
+                            **counts))
+        assert narrow.per_structure["execute"] < wide.per_structure["execute"]
 
     def test_width_scale(self):
-        assert PowerConfig().width_scale(8) == pytest.approx(0.25)
-        assert PowerConfig().width_scale(16) == pytest.approx(0.5)
+        assert ClusterSpec(name="h", datapath_width=8).width_fraction == \
+            pytest.approx(0.25)
+        assert ClusterSpec(name="h", datapath_width=16).width_fraction == \
+            pytest.approx(0.5)
 
     def test_no_helper_no_narrow_clock(self):
-        breakdown = PowerModel().evaluate(activity(helper_present=False))
-        assert breakdown.per_structure["narrow_clock"] == 0.0
+        breakdown = machine_breakdown(monolithic_topology())
+        assert not any(key.startswith("narrow_") for key in breakdown.per_structure)
 
     def test_helper_adds_clock_energy(self):
-        with_helper = PowerModel().evaluate(activity())
-        assert with_helper.per_structure["narrow_clock"] > 0
+        assert machine_breakdown().per_structure["narrow_clock"] > 0
 
     def test_fraction(self):
-        breakdown = PowerModel().evaluate(activity())
+        breakdown = machine_breakdown()
         assert 0 < breakdown.fraction("memory") < 1
         assert breakdown.fraction("nonexistent") == 0.0
 
     def test_energy_monotone_in_activity(self):
-        small = PowerModel().evaluate(activity(copies=0))
-        large = PowerModel().evaluate(activity(copies=10_000))
+        small = machine_breakdown(shared=shared_activity(copies=0))
+        large = machine_breakdown(shared=shared_activity(copies=10_000))
         assert large.total > small.total
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=30, deadline=None)
     def test_total_nonnegative(self, alu_ops):
-        breakdown = PowerModel().evaluate(activity(wide_alu_ops=alu_ops))
-        assert breakdown.total >= 0
+        assert machine_breakdown(alu_ops=alu_ops).total >= 0
 
 
 def cluster_activity(name="c", width=32, ratio=1, **overrides) -> ClusterActivity:
@@ -216,19 +252,23 @@ class TestEnergyDelay:
         assert report.energy_delay_squared == 160.0
 
     def test_energy_delay_squared_builder(self):
-        breakdown = PowerModel().evaluate(activity())
+        breakdown = machine_breakdown()
         report = energy_delay_squared(breakdown, delay_cycles=100, label="run")
         assert report.energy == pytest.approx(breakdown.total)
 
     def test_invalid_delay(self):
-        breakdown = PowerModel().evaluate(activity())
         with pytest.raises(ValueError):
-            energy_delay_squared(breakdown, delay_cycles=0)
+            energy_delay_squared(machine_breakdown(), delay_cycles=0)
 
-    def test_report_from_activity(self):
-        report = report_from_activity(activity(), delay_cycles=1000, label="helper")
+    def test_report_from_result(self, tiny_trace):
+        from repro.core.steering import make_policy
+        from repro.sim.simulator import simulate
+
+        result = simulate(tiny_trace, policy=make_policy("ir"))
+        report = report_from_result(result, label="helper")
         assert report.label == "helper"
-        assert report.energy > 0
+        assert report.energy == result.energy > 0
+        assert report.delay_cycles == result.slow_cycles
 
     def test_compare_ed2_sign(self):
         baseline = EnergyReport("base", energy=100.0, delay_cycles=10.0)
@@ -244,12 +284,12 @@ class TestEnergyDelay:
     def test_faster_but_bigger_machine_can_win_ed2(self):
         """The helper cluster adds energy per cycle but reduces cycles; ED²
         rewards the trade exactly as §3.7 argues."""
-        base_activity = activity(helper_present=False, narrow_alu_ops=0,
-                                 narrow_scheduler_ops=0, narrow_regfile_accesses=0,
-                                 copies=0, fast_cycles=1000)
-        helper_activity = activity()
-        base = report_from_activity(base_activity, delay_cycles=1200, label="baseline")
-        helper = report_from_activity(helper_activity, delay_cycles=1000, label="helper")
+        base = energy_delay_squared(
+            machine_breakdown(monolithic_topology(),
+                              shared=shared_activity(copies=0)),
+            delay_cycles=1200, label="baseline")
+        helper = energy_delay_squared(machine_breakdown(), delay_cycles=1000,
+                                      label="helper")
         # With an ~17% cycle reduction the quadratic delay term dominates the
         # added helper energy.
         assert compare_ed2(base, helper) > 0

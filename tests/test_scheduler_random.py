@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 
-from repro.core.config import helper_cluster_config
+from repro.core.config import helper_topology, topology_config
 from repro.core.steering import make_policy
 from repro.pipeline.scheduler import IssueQueue, IssueQueueEntry
 from repro.sim.simulator import HelperClusterSimulator
@@ -107,7 +107,7 @@ class TestSimulatorRandomizedInvariants:
     def _build_sim(self, trial: int) -> HelperClusterSimulator:
         benchmark = SPEC_INT_NAMES[trial % len(SPEC_INT_NAMES)]
         trace = generate_trace(get_profile(benchmark), 700, seed=1000 + trial)
-        return HelperClusterSimulator(trace, config=helper_cluster_config(),
+        return HelperClusterSimulator(trace, config=topology_config(helper_topology()),
                                       policy=make_policy("ir"))
 
     def test_commit_is_in_order_and_issue_waits_for_operands(self):
@@ -125,7 +125,7 @@ class TestSimulatorRandomizedInvariants:
 
             sim.rob.commit = commit_spy
 
-            for queue in (sim.narrow.issue_queue, sim.wide.issue_queue):
+            for queue in (sim.helpers[0].issue_queue, sim.wide.issue_queue):
                 original_select = queue.select
 
                 def select_spy(*args, _orig=original_select, **kwargs):
@@ -147,14 +147,14 @@ class TestSimulatorRandomizedInvariants:
         for trial in range(N_SIM_TRIALS):
             sim = self._build_sim(trial)
             result = sim.run()
-            narrow, wide = sim.narrow.stats, sim.wide.stats
+            narrow, wide = sim.helpers[0].stats, sim.wide.stats
             copies = narrow.copies_executed + wide.copies_executed
             saw_copies = saw_copies or copies > 0
             # Issue-slot accounting covers copies: total issues include them
             # and never exceed each cluster's issue opportunities.
             assert narrow.issued >= narrow.copies_executed
             assert wide.issued >= wide.copies_executed
-            width = sim.config.scheduler.issue_width
+            width = sim.config.topology.host.issue_width
             assert narrow.issued <= (result.fast_cycles + 1) * width
             wide_cycles = result.fast_cycles // sim.clocking.ratio + 1
             assert wide.issued <= wide_cycles * width

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import helper_cluster_config
+from repro.core.config import baseline_config, helper_topology, topology_config
 from repro.core.copy_engine import CopyEngine
 from repro.core.imbalance import ImbalanceMonitor, ImbalanceSample
 from repro.core.predictors import WidthPredictor
@@ -25,12 +25,12 @@ from repro.pipeline.rename import RenameTable
 
 @pytest.fixture()
 def ctx():
-    config = helper_cluster_config()
+    config = topology_config(helper_topology())
     return SteeringContext(
         config=config,
         width_predictor=WidthPredictor(),
         rename=RenameTable(),
-        imbalance=ImbalanceMonitor(queue_size=config.scheduler.queue_size),
+        imbalance=ImbalanceMonitor(queue_size=config.topology.host.queue_size),
         copy_engine=CopyEngine(),
         splitter=InstructionSplitter(),
     )
@@ -156,7 +156,7 @@ class TestN888(object):
         assert not decision.to_helper
 
     def test_helper_disabled_goes_wide(self, ctx):
-        ctx.config = helper_cluster_config().with_helper(enabled=False)
+        ctx.config = baseline_config()
         policy = make_policy("n888")
         uop = alu_uop()
         train_narrow(ctx.width_predictor, uop.pc)

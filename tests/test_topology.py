@@ -25,7 +25,6 @@ from repro.core.config import (
     SchedulerConfig,
     Topology,
     baseline_config,
-    helper_cluster_config,
     helper_topology,
     monolithic_topology,
     topology_config,
@@ -87,10 +86,10 @@ class TestTopologyConstruction:
         with pytest.raises(ValueError, match="FP"):
             Topology((ClusterSpec(name="wide"),))
 
-    def test_with_scheduler_reaches_explicit_topology(self):
+    def test_with_scheduler_reaches_every_cluster(self):
         config = topology_config(helper_topology()).with_scheduler(
             queue_size=16, issue_width=2)
-        for spec in config.cluster_topology().clusters:
+        for spec in config.topology.clusters:
             assert spec.queue_size == 16
             assert spec.issue_width == 2
 
@@ -103,22 +102,22 @@ class TestTopologyConstruction:
         override = manager.trigger(2, 2, fast_cycle=100, penalty_slow=20)
         assert override.refetch_ready_cycle == 140
 
-    def test_derived_topology_matches_shim(self):
-        config = helper_cluster_config(narrow_width=16, clock_ratio=4)
-        topology = config.cluster_topology()
+    def test_config_reads_width_and_ratio_from_topology(self):
+        config = topology_config(helper_topology(narrow_width=16, clock_ratio=4))
+        topology = config.topology
         assert topology.num_helpers == 1
         assert topology.helpers[0].datapath_width == 16
         assert topology.helpers[0].clock_ratio == 4
         assert config.narrow_width == 16
         assert config.clock_ratio == 4
 
-    def test_with_helper_rederives_topology(self):
+    def test_with_topology_replaces_clusters(self):
         config = topology_config(helper_topology(helpers=2))
-        assert config.cluster_topology().num_helpers == 2
-        with pytest.warns(DeprecationWarning):
-            shimmed = config.with_helper(narrow_width=16)
-        assert shimmed.cluster_topology().num_helpers == 1
-        assert shimmed.narrow_width == 16
+        assert config.topology.num_helpers == 2
+        replaced = config.with_topology(helper_topology(narrow_width=16))
+        assert replaced.topology.num_helpers == 1
+        assert replaced.narrow_width == 16
+        assert replaced.predictor == config.predictor
 
     def test_mixed_helper_topology_shapes_and_names(self):
         from repro.core.config import mixed_helper_topology
@@ -166,16 +165,13 @@ class TestMultiDomainClocking:
 # Degeneracy: topologies reproduce the original machines bit-identically
 # ---------------------------------------------------------------------------
 class TestTopologyDegeneracy:
-    def test_baseline_simulator_keeps_dormant_narrow_backend(self, tiny_trace):
-        # Two-cluster compat: ``sim.narrow`` is a Backend even on the
-        # monolithic baseline (dormant, excluded from the cluster list).
+    def test_baseline_simulator_builds_only_the_host(self, tiny_trace):
         from repro.sim.simulator import HelperClusterSimulator
 
         sim = HelperClusterSimulator(tiny_trace, config=baseline_config())
         assert len(sim.clusters) == 1
-        assert sim.narrow is not None
-        assert sim.narrow.is_narrow
-        assert len(sim.narrow.issue_queue) == 0
+        assert sim.helpers == []
+        assert not hasattr(sim, "narrow")
 
     def test_single_cluster_equals_monolithic_baseline(self, tiny_trace):
         mono = simulate(tiny_trace, config=baseline_config(),
@@ -184,15 +180,15 @@ class TestTopologyDegeneracy:
                         policy=make_policy("baseline"))
         assert topo == mono
 
-    def test_two_cluster_topology_equals_shim_config(self, tiny_trace):
+    def test_default_config_is_the_paper_topology(self, tiny_trace):
+        assert MachineConfig() == topology_config(helper_topology())
         for policy in ("n888", "ir"):
-            shim = simulate(tiny_trace, config=helper_cluster_config(),
-                            policy=make_policy(policy))
+            default = simulate(tiny_trace, policy=make_policy(policy))
             topo = simulate(tiny_trace, config=topology_config(helper_topology()),
                             policy=make_policy(policy))
-            assert topo == shim, f"topology run drifted for {policy}"
+            assert topo == default, f"topology run drifted for {policy}"
 
-    def test_two_cluster_topology_reproduces_golden_pins(self):
+    def test_paper_topology_reproduces_golden_pins(self):
         """The canned topology must hit the golden ladder pins exactly."""
         policies = list(MINI_LADDER_SPEEDUPS)
         sweep = run_spec_suite(policies, trace_uops=2500, seed=2006,
@@ -293,23 +289,30 @@ class TestCanonicalCacheKey:
         return engine.key_for(job)
 
     def test_any_config_field_change_changes_key(self):
-        base = helper_cluster_config()
+        base = topology_config(helper_topology())
         base_key = self._key(base)
+        paper_helper = helper_topology().helpers[0]
         variants = {
             "fetch_width": replace(base, fetch_width=8),
             "commit_width": replace(base, commit_width=4),
             "rob_size": replace(base, rob_size=64),
-            "scheduler.queue_size": base.with_scheduler(queue_size=16),
-            "scheduler.issue_width": base.with_scheduler(issue_width=4),
-            "scheduler.memory_ports": base.with_scheduler(memory_ports=1),
+            "topology.queue_size": base.with_scheduler(queue_size=16),
+            "topology.issue_width": base.with_scheduler(issue_width=4),
+            "topology.memory_ports": base.with_scheduler(memory_ports=1),
             "predictor.table_entries": base.with_predictor(table_entries=512),
             "predictor.use_confidence": base.with_predictor(use_confidence=False),
             "predictor.confidence_threshold":
                 base.with_predictor(confidence_threshold=3),
-            "helper.narrow_width": base.with_helper(narrow_width=16),
-            "helper.clock_ratio": base.with_helper(clock_ratio=1),
-            "helper.copy_latency_slow": base.with_helper(copy_latency_slow=3),
-            "helper.flush_penalty_slow": base.with_helper(flush_penalty_slow=7),
+            "topology.helper_width":
+                base.with_topology(helper_topology(narrow_width=16)),
+            "topology.clock_ratio":
+                base.with_topology(helper_topology(clock_ratio=1)),
+            "topology.copy_latency_slow":
+                base.with_topology(helper_topology(copy_latency_slow=3)),
+            "topology.flush_penalty_slow":
+                base.with_topology(helper_topology(flush_penalty_slow=7)),
+            "topology.helper_fp": base.with_topology(helper_topology(has_fp=True)),
+            "topology.host_only": base.with_topology(monolithic_topology()),
             "memory.main_memory_latency": replace(
                 base, memory=replace(base.memory, main_memory_latency=300)),
             "memory.dl0.hit_latency": replace(
@@ -319,8 +322,9 @@ class TestCanonicalCacheKey:
                 base, trace_cache=replace(base.trace_cache, miss_penalty=20)),
             "topology.helpers": base.with_topology(helper_topology(helpers=2)),
             "topology.cluster_queue": base.with_topology(Topology((
-                helper_topology().host,
-                replace(helper_topology().helpers[0], queue_size=16)))),
+                helper_topology().host, replace(paper_helper, queue_size=16)))),
+            "topology.cluster_name": base.with_topology(Topology((
+                helper_topology().host, replace(paper_helper, name="helper")))),
         }
         keys = {"base": base_key}
         for label, config in variants.items():
@@ -330,18 +334,18 @@ class TestCanonicalCacheKey:
         assert len(set(keys.values())) == len(keys), "distinct configs collided"
 
     def test_key_stable_for_equal_configs(self):
-        assert self._key(helper_cluster_config()) == \
-            self._key(helper_cluster_config())
+        assert self._key(topology_config(helper_topology())) == \
+            self._key(topology_config(helper_topology()))
 
-    def test_explicit_paper_topology_and_shim_key_apart(self):
-        # Equivalent machines, but distinct descriptions: the key must not
-        # conflate them (conservative misses are fine; stale hits are not).
-        shim = self._key(helper_cluster_config())
-        explicit = self._key(topology_config(helper_topology()))
-        assert shim != explicit
+    def test_paper_point_has_one_key_however_it_is_built(self):
+        # The default machine and the explicit paper topology are the same
+        # machine, so they share one cache entry.
+        default = self._key(MachineConfig())
+        assert self._key(topology_config(helper_topology())) == default
+        assert self._key(MachineConfig(topology=helper_topology())) == default
 
     def test_job_carried_config_overrides_engine_config(self):
-        engine = SweepEngine(config=helper_cluster_config())
+        engine = SweepEngine(config=topology_config(helper_topology()))
         plain = SweepJob("gcc", "ir", 1000, 2006)
         carried = SweepJob("gcc", "ir", 1000, 2006,
                            config=topology_config(helper_topology(helpers=2)))
@@ -351,7 +355,7 @@ class TestCanonicalCacheKey:
         # The baseline policy always runs the monolithic machine, so two
         # engines that differ only in helper topology share baseline entries.
         job = SweepJob("gcc", "baseline", 1000, 2006)
-        first = SweepEngine(config=helper_cluster_config()).key_for(job)
+        first = SweepEngine(config=topology_config(helper_topology())).key_for(job)
         second = SweepEngine(
             config=topology_config(helper_topology(helpers=2))).key_for(job)
         assert first == second
