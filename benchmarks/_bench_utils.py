@@ -20,6 +20,10 @@ APPS_PER_CATEGORY = int(os.environ.get("REPRO_BENCH_APPS_PER_CATEGORY", "4"))
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 #: On-disk result cache directory (unset = no cache).
 BENCH_CACHE_DIR = os.environ.get("REPRO_BENCH_CACHE_DIR") or None
+#: Rewrite the committed perf artefacts (``BENCH_sim.json``,
+#: ``BENCH_energy.json``) with this run's numbers; off by default, so a
+#: plain test run measures and asserts but never commits local timings.
+BENCH_WRITE = os.environ.get("REPRO_BENCH_WRITE") == "1"
 
 RESULTS_DIR = Path(__file__).parent / "results"
 

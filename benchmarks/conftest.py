@@ -20,6 +20,10 @@ Environment knobs:
   category for the Figure 14 benchmark (default 4; 0 = the full 409-app
   suite).
 
+* ``REPRO_BENCH_WRITE=1`` — let the throughput and energy-overhead
+  benchmarks rewrite ``benchmarks/results/BENCH_sim.json`` and
+  ``BENCH_energy.json`` (default unset: they measure and assert only).
+
 Each benchmark writes the series it regenerates to
 ``benchmarks/results/<name>.txt``.
 """

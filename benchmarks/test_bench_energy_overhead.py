@@ -3,11 +3,11 @@
 Per-cluster activity counting lives in the simulator's dispatch path, so its
 cost must be tracked: this benchmark times a 12-point ``explore`` grid (the
 default width x ratio x helper-count design space) with energy accounting
-enabled versus disabled and emits ``benchmarks/results/BENCH_energy.json``
-with both wall times.  The contract is that energy-for-every-sweep-point
-stays under 10% overhead; the counting itself is shared with the timing
-metrics, so the enabled arm only adds the per-cluster power-model
-evaluation at finalise time.
+enabled versus disabled and, under ``REPRO_BENCH_WRITE=1``, rewrites
+``benchmarks/results/BENCH_energy.json`` with both wall times.  The
+contract is that energy-for-every-sweep-point stays under 10% overhead; the
+counting itself is shared with the timing metrics, so the enabled arm only
+adds the per-cluster power-model evaluation at finalise time.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.power.wattch import PowerConfig
 from repro.sim.experiment import ExperimentRunner, build_topology_grid
 from repro.trace.profiles import get_profile
 
-from _bench_utils import BENCH_SEED, RESULTS_DIR
+from _bench_utils import BENCH_SEED, BENCH_WRITE, RESULTS_DIR
 
 #: Deliberately small traces: the benchmark measures relative overhead, and
 #: the grid multiplies the work by 13 runs (12 points + shared baseline).
@@ -76,18 +76,20 @@ def test_bench_energy_overhead():
     disabled_s = min(disabled_times)
     overhead = enabled_s / disabled_s - 1.0 if disabled_s else 0.0
 
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "grid_points": len(points),
-        "benchmarks": [p.name for p in profiles],
-        "trace_uops": GRID_UOPS,
-        "energy_enabled_seconds": round(enabled_s, 4),
-        "energy_disabled_seconds": round(disabled_s, 4),
-        "overhead_fraction": round(overhead, 4),
-        "budget_fraction": OVERHEAD_BUDGET,
-    }
-    (RESULTS_DIR / "BENCH_energy.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    if BENCH_WRITE:
+        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+        payload = {
+            "grid_points": len(points),
+            "benchmarks": [p.name for p in profiles],
+            "trace_uops": GRID_UOPS,
+            "energy_enabled_seconds": round(enabled_s, 4),
+            "energy_disabled_seconds": round(disabled_s, 4),
+            "overhead_fraction": round(overhead, 4),
+            "budget_fraction": OVERHEAD_BUDGET,
+        }
+        (RESULTS_DIR / "BENCH_energy.json").write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
 
     assert overhead < OVERHEAD_BUDGET, (
         f"per-cluster energy accounting costs {overhead:.1%} on the explore "

@@ -31,9 +31,12 @@ entry reads as 2x+) should trip it, never timer noise.  The gate is per
 backend: each scenario records which backend produced it, and the gate
 fails, naming both backends, when the committed scenario was measured under
 a different backend (or is missing): an uncomparable baseline is a failure,
-never a silent skip.  Without the env var the
-benchmark only measures and rewrites the artefact, so local runs on
-different hardware never fail spuriously.
+never a silent skip.  Without the env var the benchmark only measures, so
+local runs on different hardware never fail spuriously.
+
+The artefact is rewritten only under ``REPRO_BENCH_WRITE=1`` (and only by a
+full-suite run): a plain test run measures and asserts but leaves the
+committed numbers alone.
 
 Scope knob: ``REPRO_BENCH_SIM_BENCHMARKS=gcc,gzip`` restricts the ladder to
 a subset (the CI smoke uses this to stay fast); the committed artefact is
@@ -51,7 +54,8 @@ from repro.sim.experiment import ExperimentRunner
 from repro.sim.hotstate import BACKEND_ENV, detected_backend
 from repro.trace.profiles import SPEC_INT_2000, SPEC_INT_NAMES
 
-from _bench_utils import BENCH_SEED, BENCH_UOPS, LADDER, RESULTS_DIR
+from _bench_utils import (BENCH_SEED, BENCH_UOPS, BENCH_WRITE, LADDER,
+                          RESULTS_DIR)
 
 BENCH_JSON = RESULTS_DIR / "BENCH_sim.json"
 
@@ -305,15 +309,15 @@ def test_bench_sim_throughput(tmp_path):
                 f"({key}, backend {new['backend']}, "
                 f"{BENCH_UOPS}-uop ladder)")
 
-    # Only the full-suite run rewrites the committed artefact; a scoped CI
-    # smoke must not overwrite it with subset numbers.  The one-off pre-PR
-    # measurement block is carried over so the before/after record of the
-    # event-wheel PR survives regeneration, with BOTH speedup multiples
-    # recomputed against this run's numbers — they track *current HEAD*
-    # vs the frozen pre-event-wheel measurement (the whole trajectory
-    # since, regressions included), not any single PR's own win, and the
-    # note says so.
-    if not _subset:
+    # Only an opted-in (REPRO_BENCH_WRITE=1) full-suite run rewrites the
+    # committed artefact; a scoped CI smoke must not overwrite it with
+    # subset numbers.  The one-off pre-PR measurement block is carried
+    # over so the before/after record of the event-wheel PR survives
+    # regeneration, with BOTH speedup multiples recomputed against this
+    # run's numbers — they track *current HEAD* vs the frozen
+    # pre-event-wheel measurement (the whole trajectory since, regressions
+    # included), not any single PR's own win, and the note says so.
+    if BENCH_WRITE and not _subset:
         if "pre_pr_reference" in committed:
             pre = dict(committed["pre_pr_reference"])
             pre_rate = pre.get("serial_cold", {}).get("uops_per_sec")

@@ -279,24 +279,31 @@ def default_jobs() -> int:
     return available_cpus()
 
 
-def _stop_pool(pool, grace: float = 5.0) -> None:
+#: Seconds the parent waits for ``Pool.terminate()`` + ``join()`` before it
+#: treats the pool as wedged and kills its workers.  A healthy pool is down
+#: in milliseconds; only a wedged one ever waits this out.
+POOL_TEARDOWN_GRACE = 5.0
+
+#: The same wait for a pool the engine never closed, torn down by its
+#: finalizer (at the latest at interpreter exit, which it should not hold up).
+FINALIZER_TEARDOWN_GRACE = 1.0
+
+
+def _stop_pool(pool, grace: float = POOL_TEARDOWN_GRACE) -> None:
     """Tear a (possibly wedged) pool down without blocking the parent.
 
-    A SIGKILLed worker can die *holding the task queue's reader lock*, and
-    ``Pool.terminate`` drains that queue under the same lock — calling it
-    directly on such a pool wedges the parent forever.  So: kill the worker
-    processes first (no child outlives the pool), then run terminate+join
-    on a daemon thread with a grace period; a pool that still refuses to
-    die is abandoned — its handler threads are daemonic — never waited on.
+    An idle worker waits in ``inqueue.get()`` *holding the task queue's
+    reader lock*, and ``Pool.terminate`` drains that queue under the same
+    lock.  On a healthy pool the terminate sentinel wakes that worker, it
+    releases the lock and exits, and terminate+join finishes in
+    milliseconds.  A worker SIGKILLed while idle never releases the lock,
+    and terminate then blocks forever — so terminate+join runs on a daemon
+    thread, and only if it is still running after ``grace`` seconds is
+    every worker still listed in ``pool._pool`` (replacements the pool's
+    maintain thread spawned included) killed and reaped, and the pool
+    abandoned (its handler threads are daemonic), never waited on.
     """
     import threading
-
-    for proc in list(getattr(pool, "_pool", ()) or ()):
-        try:
-            if proc.exitcode is None:
-                proc.kill()
-        except Exception:  # noqa: BLE001 — racing a dying worker is fine
-            pass
 
     def _teardown() -> None:
         try:
@@ -309,11 +316,17 @@ def _stop_pool(pool, grace: float = 5.0) -> None:
                               name="repro-pool-teardown")
     thread.start()
     thread.join(grace)
-
-
-def _terminate_pool(pool) -> None:
-    """Engine-finalizer hook: tear the warm pool down without blocking."""
-    _stop_pool(pool, grace=1.0)
+    if not thread.is_alive():
+        return
+    workers = list(getattr(pool, "_pool", ()) or ())
+    for proc in workers:
+        try:
+            if proc.exitcode is None:
+                proc.kill()
+        except Exception:  # noqa: BLE001 — racing a dying worker is fine
+            pass
+    for proc in workers:
+        proc.join(0.1)  # SIGKILL cannot be caught: reaping is prompt
 
 
 class SweepEngine:
@@ -433,8 +446,16 @@ class SweepEngine:
                 processes=self.jobs, initializer=_pool_init,
                 initargs=(str(self.trace_store.store_dir), plan_text))
             self._pool_finalizer = weakref.finalize(
-                self, _terminate_pool, self._pool)
+                self, _stop_pool, self._pool, FINALIZER_TEARDOWN_GRACE)
         return self._pool
+
+    def _drop_pool(self) -> None:
+        """Tear the warm pool down (if there is one) and forget it."""
+        if self._pool is not None:
+            pool, self._pool = self._pool, None
+            _stop_pool(pool)
+            self._pool_finalizer.detach()
+            self._pool_finalizer = None
 
     def _respawn_pool(self):
         """Terminate the cached pool and spawn a fresh one.
@@ -444,12 +465,7 @@ class SweepEngine:
         ``_ensure_pool``'s cache: the broken pool is dropped wholesale and
         the next ``_ensure_pool`` call builds a replacement.
         """
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
-            _stop_pool(pool)
-            if self._pool_finalizer is not None:
-                self._pool_finalizer.detach()
-                self._pool_finalizer = None
+        self._drop_pool()
         return self._ensure_pool()
 
     # ---------------------------------------------------------------- claims
@@ -496,12 +512,7 @@ class SweepEngine:
         ``close()`` — or the context-manager form — releases them eagerly
         and deterministically, exceptions included.
         """
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
-            _stop_pool(pool)
-            if self._pool_finalizer is not None:
-                self._pool_finalizer.detach()
-                self._pool_finalizer = None
+        self._drop_pool()
         self._clear_claims()
         if self._store_cleanup is not None:
             cleanup, self._store_cleanup = self._store_cleanup, None

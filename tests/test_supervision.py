@@ -11,7 +11,11 @@ resumes touching zero completed jobs.
 """
 
 import dataclasses
+import gc
 import json
+import os
+import signal
+import time
 
 import pytest
 
@@ -21,7 +25,8 @@ from repro.sim.checkpoint import (
     load_quarantine_file,
     write_quarantine_file,
 )
-from repro.sim.engine import SweepEngine, SweepJob
+from repro.sim.engine import (FINALIZER_TEARDOWN_GRACE, POOL_TEARDOWN_GRACE,
+                              SweepEngine, SweepJob)
 from repro.sim.experiment import ExperimentRunner, build_topology_grid
 from repro.sim.hotstate import compiled_available
 from repro.sim.supervise import SupervisorPolicy, SweepReport
@@ -148,9 +153,6 @@ class TestParallelSupervision:
         reader lock leaves the auto-replaced workers wedged on that lock —
         recovery comes from the per-job deadline, which respawns the whole
         pool with fresh queues."""
-        import os
-        import signal
-
         quick = SupervisorPolicy(backoff_base=0.01, poll_interval=0.005,
                                  timeout_base=5.0)
         with SweepEngine(jobs=2, allow_oversubscribe=True,
@@ -178,6 +180,75 @@ class TestParallelSupervision:
             parallel = _fingerprint(engine.run_jobs(jobs))
         assert serial == truth
         assert parallel == truth
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` names a live (or unreaped) process."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _wait_for(predicate, timeout: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+class TestPoolTeardown:
+    """``_stop_pool``'s two guarantees, on the healthy and the wedged path:
+    the parent never blocks past the grace, and no worker outlives the
+    pool."""
+
+    def test_healthy_close_is_prompt_and_reaps_every_worker(self):
+        engine = SweepEngine(jobs=2, allow_oversubscribe=True)
+        engine.run_jobs(_jobs([("gcc", "baseline"), ("gcc", "ir")]))
+        pids = [proc.pid for proc in engine._pool._pool]
+        assert len(pids) == 2
+        start = time.perf_counter()
+        engine.close()
+        elapsed = time.perf_counter() - start
+        assert elapsed < POOL_TEARDOWN_GRACE / 2, (
+            f"closing a healthy pool took {elapsed:.2f} s")
+        assert not [pid for pid in pids if _alive(pid)]
+
+    def test_wedged_close_kills_every_worker_within_the_grace(self):
+        """Every idle worker SIGKILLed, so the one holding the task queue's
+        reader lock dies with it held: the maintain thread's replacements
+        block on that lock and ``Pool.terminate`` can never finish."""
+        engine = SweepEngine(jobs=2, allow_oversubscribe=True)
+        pool = engine._ensure_pool()
+        killed = {proc.pid for proc in pool._pool}
+        for pid in killed:
+            os.kill(pid, signal.SIGKILL)
+        assert _wait_for(lambda: len(pool._pool) == 2 and not killed
+                         & {proc.pid for proc in pool._pool}), \
+            "the pool never replaced its killed workers"
+        start = time.perf_counter()
+        engine.close()
+        elapsed = time.perf_counter() - start
+        assert elapsed < POOL_TEARDOWN_GRACE + 1.0, (
+            f"closing a wedged pool took {elapsed:.2f} s")
+        survivors = [proc.pid for proc in pool._pool if _alive(proc.pid)]
+        assert not survivors, f"workers outlived the pool: {survivors}"
+        assert not [pid for pid in killed if _alive(pid)]
+
+    def test_dropped_engine_finalizer_stops_the_pool(self):
+        """An engine that is never closed tears its pool down when it is
+        collected, through the same function, with the finalizer's grace."""
+        engine = SweepEngine(jobs=2, allow_oversubscribe=True)
+        pids = [proc.pid for proc in engine._ensure_pool()._pool]
+        start = time.perf_counter()
+        del engine
+        gc.collect()
+        elapsed = time.perf_counter() - start
+        assert elapsed < FINALIZER_TEARDOWN_GRACE
+        assert not [pid for pid in pids if _alive(pid)]
 
 
 class TestCheckpointResume:
