@@ -68,7 +68,7 @@ def analyze_narrowness(trace: Trace, narrow_width: int = NARROW_WIDTH) -> Narrow
                 report.narrow_dependent_operands += 1
 
         # §1 breakdown over plain ALU instructions with register sources.
-        if uop.op_class is OpClass.ALU and uop.srcs and uop.src_values:
+        if uop.info.op_class is OpClass.ALU and uop.srcs and uop.src_values:
             report.alu_total += 1
             narrow_srcs = sum(1 for v in uop.src_values if is_narrow(v, narrow_width))
             result_narrow = uop.result_is_narrow(narrow_width)

@@ -46,7 +46,7 @@ from repro.core.splitting import InstructionSplitter
 from repro.isa.opcodes import OpClass, Opcode
 from repro.isa.registers import ArchReg
 from repro.isa.uop import MicroOp
-from repro.isa.values import is_narrow, truncate, value_width
+from repro.isa.values import is_narrow, value_width
 from repro.pipeline.clocking import ClockDomain
 from repro.pipeline.frontend import FetchedUop
 from repro.pipeline.rename import RenameTable
@@ -310,17 +310,6 @@ class DataWidthSteering(SteeringPolicy):
         """Width-table view of each source: actual width if written back, else prediction."""
         return ctx.rename.source_widths(uop.srcs)
 
-    def _immediate_narrow(self, uop: MicroOp, ctx: SteeringContext) -> bool:
-        if uop.imm is None:
-            return True
-        memo = uop.__dict__.get("_imm_narrow_memo")
-        width = ctx.steering_width
-        if memo is not None and memo[0] == width:
-            return memo[1]
-        result = is_narrow(truncate(uop.imm), width)
-        uop._imm_narrow_memo = (width, result)
-        return result
-
     def _width_requirement(self, uop: MicroOp, ctx: SteeringContext,
                            prediction: Optional[WidthPrediction]
                            ) -> Optional[ClusterRequirement]:
@@ -339,14 +328,14 @@ class DataWidthSteering(SteeringPolicy):
             if width > bits:
                 bits = width
         if uop.imm is not None:
-            width = value_width(truncate(uop.imm))
+            width = value_width(uop.imm)
             if width > bits:
                 bits = width
         if (uop.has_dest and prediction is not None
                 and prediction.width_bits is not None
                 and prediction.width_bits > bits):
             bits = prediction.width_bits
-        return ClusterRequirement(min_width=bits, needs_memory_port=uop.is_memory)
+        return ClusterRequirement(min_width=bits, needs_memory_port=uop.info.is_memory)
 
     def _helper_supports(self, uop: MicroOp, ctx: SteeringContext) -> bool:
         """Whether some helper backend can execute the uop.
@@ -355,9 +344,9 @@ class DataWidthSteering(SteeringPolicy):
         steerable only when the topology declares an FP-capable helper.
         Long-latency MUL/DIV stay in the wide backend regardless.
         """
-        if uop.op_class in (OpClass.MUL, OpClass.DIV):
+        if uop.info.op_class in (OpClass.MUL, OpClass.DIV):
             return False
-        if uop.op_class is OpClass.FP:
+        if uop.info.op_class is OpClass.FP:
             return ctx.helper_fp_available
         return True
 
@@ -378,7 +367,8 @@ class DataWidthSteering(SteeringPolicy):
             stats.to_wide += 1
             return SteerDecision(domain=ClockDomain.WIDE,
                                  reason="helper_disabled")
-        op_class = uop.op_class
+        info = uop.info
+        op_class = info.op_class
         if (op_class is OpClass.MUL or op_class is OpClass.DIV
                 or (op_class is OpClass.FP and not self._ctx_fp)):
             stats.to_wide += 1
@@ -394,8 +384,8 @@ class DataWidthSteering(SteeringPolicy):
         # Branches are never candidates for the width-prediction based
         # schemes (they have no register result); they go to the helper
         # cluster only under the BR rule.
-        if uop.is_branch:
-            if self._has_br and uop.is_cond_branch:
+        if info.is_branch:
+            if self._has_br and info.is_cond_branch:
                 # Domains may be plain cluster indices (>= 2) for extra
                 # helper clusters, so compare by value, not identity.
                 if (self._flags_entry.producer_domain != ClockDomain.WIDE
@@ -416,12 +406,12 @@ class DataWidthSteering(SteeringPolicy):
                 sources_narrow = False
                 break
         if sources_narrow and uop.imm is not None:
-            sources_narrow = self._immediate_narrow(uop, ctx)
+            sources_narrow = is_narrow(uop.imm, ctx.steering_width)
 
         # --- LR: loads predicted to fetch a narrow value have their result
         # register allocated in both clusters through the shared MOB (§3.4),
         # independent of which cluster executes the load.
-        replicate = (self._has_lr and uop.is_load
+        replicate = (self._has_lr and info.is_load
                      and prediction.narrow and prediction.confident)
 
         # --- 8-8-8: all sources narrow and result predicted narrow with
@@ -443,11 +433,11 @@ class DataWidthSteering(SteeringPolicy):
 
         # --- CR: one narrow and one wide source, wide result, carry predicted
         # not to propagate past the low byte (§3.5).
-        if self._has_cr and uop.info.cr_eligible and not rebalance_to_wide:
+        if self._has_cr and info.cr_eligible and not rebalance_to_wide:
             source_widths = [entries[reg].narrow for reg in uop.srcs]
             wide_count = source_widths.count(False)
             result_predicted_wide = uop.has_dest and not prediction.narrow
-            addresses_memory = uop.is_memory  # address result is consumed wide
+            addresses_memory = info.is_memory  # address result is consumed wide
             # Memory operations additionally require the narrow operand to be
             # an immediate (field-style base+displacement addressing).  Index
             # registers sweep through values and routinely cross the carry

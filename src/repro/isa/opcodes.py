@@ -20,7 +20,7 @@ per cluster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum, auto
 from typing import Callable, Dict, Optional, Tuple
 
@@ -131,6 +131,11 @@ class OpcodeInfo:
     cr_eligible:
         Whether the CR scheme may consider this uop (multiply/divide are
         excluded because the carry signal cannot flag their mispredictions).
+    is_load / is_store / is_branch / is_cond_branch / is_fp / is_copy:
+        Class predicates derived from ``op_class`` (``is_branch`` covers
+        both conditional branches and jumps).  They live here, shared by
+        every uop of the opcode, so a uop reaches them through its ``info``
+        at no per-uop memory cost.
     """
 
     op_class: OpClass
@@ -142,6 +147,23 @@ class OpcodeInfo:
     is_memory: bool = False
     splittable: bool = False
     cr_eligible: bool = False
+    is_load: bool = field(init=False, repr=False)
+    is_store: bool = field(init=False, repr=False)
+    is_branch: bool = field(init=False, repr=False)
+    is_cond_branch: bool = field(init=False, repr=False)
+    is_fp: bool = field(init=False, repr=False)
+    is_copy: bool = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        op_class = self.op_class
+        for name, value in (
+                ("is_load", op_class is OpClass.LOAD),
+                ("is_store", op_class is OpClass.STORE),
+                ("is_branch", op_class in (OpClass.BRANCH, OpClass.JUMP)),
+                ("is_cond_branch", op_class is OpClass.BRANCH),
+                ("is_fp", op_class is OpClass.FP),
+                ("is_copy", op_class is OpClass.COPY)):
+            object.__setattr__(self, name, value)
 
 
 OPCODE_INFO: Dict[Opcode, OpcodeInfo] = {

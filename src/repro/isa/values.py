@@ -91,11 +91,11 @@ def value_width(value: int, width: int = MACHINE_WIDTH) -> int:
     (it is -1, representable in a single bit of two's complement plus sign
     replication), matching the hardware leading-zero/one detector view.
     """
-    value = truncate(value, width)
-    lz = leading_zero_count(value, width)
-    lo = leading_one_count(value, width)
-    redundant = max(lz, lo)
-    return max(1, width - redundant)
+    mask = (1 << width) - 1
+    value &= mask
+    if value >> (width - 1):
+        value ^= mask
+    return value.bit_length() or 1
 
 
 def is_narrow(value: int, narrow_width: int = NARROW_WIDTH, width: int = MACHINE_WIDTH) -> bool:

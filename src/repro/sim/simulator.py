@@ -708,7 +708,7 @@ class HelperClusterSimulator:
                 if parent.uop is not None and parent.uop.has_dest:
                     self.rename.writeback(parent.uop.dest, parent.value_uid,
                                           narrow=False, domain=dyn.domain)
-                if parent.uop is not None and parent.uop.writes_flags:
+                if parent.uop is not None and parent.uop.info.writes_flags:
                     self.rename.writeback(ArchReg.FLAGS, parent.value_uid,
                                           narrow=True, domain=dyn.domain)
             parent.completed = True
@@ -722,7 +722,9 @@ class HelperClusterSimulator:
         decision = dyn.decision
         self.clusters[domain].stats.completed += 1
 
-        actual_narrow = uop.result_is_narrow(self._steer_width)
+        info = uop.info
+        result_bits = uop.result_bits
+        actual_narrow = result_bits <= self._steer_width
         has_dest = uop.has_dest
 
         # Fatal width misprediction detection: only instructions steered to
@@ -735,8 +737,7 @@ class HelperClusterSimulator:
         if domain != _WIDE and decision is not None:
             if decision.predicted_narrow:
                 width = self._cluster_widths[domain]
-                fatal = (not uop.all_sources_narrow(width)
-                         or not uop.result_is_narrow(width))
+                fatal = uop.src_bits > width or result_bits > width
             elif decision.via_cr:
                 fatal = uop.cr_carry_crosses(self._narrow_width)
 
@@ -756,8 +757,8 @@ class HelperClusterSimulator:
         if has_dest:
             self.width_predictor.update(
                 uop.pc, actual_narrow,
-                width_bits=uop.result_width_bits() if track_width else None)
-        if uop.info.cr_eligible:
+                width_bits=result_bits if track_width else None)
+        if info.cr_eligible:
             self.width_predictor.update_carry(
                 uop.pc, uop.cr_operated_narrow(self._narrow_width))
 
@@ -774,13 +775,12 @@ class HelperClusterSimulator:
                 self.rename.writeback(
                     uop.dest, value_uid, narrow=actual_narrow,
                     domain=domain,
-                    width_bits=(uop.result_width_bits()
-                                if track_width else None))
-            if uop.writes_flags:
+                    width_bits=result_bits if track_width else None)
+            if info.writes_flags:
                 self.rename.writeback(ArchReg.FLAGS, value_uid, narrow=True,
                                       domain=domain)
             self._wake_fn(value_uid, domain)
-            if dyn.replicate_load and uop.is_load and actual_narrow:
+            if dyn.replicate_load and info.is_load and actual_narrow:
                 # LR (§3.4): the narrow load value is written into every
                 # cluster's register file through the shared MOB.  A value
                 # too wide for a cluster's register file cannot be replicated
@@ -790,29 +790,10 @@ class HelperClusterSimulator:
                 self.copy_engine.note_replicated(value_uid, t)
                 widths = self._cluster_widths
                 for other in range(len(self.clusters)):
-                    if other != domain and uop.result_is_narrow(widths[other]):
+                    if other != domain and result_bits <= widths[other]:
                         self._wake_fn(value_uid, other)
         if dyn.in_rob:
             self.rob.mark_completed(uop.uid)
-
-    # ----------------------------------------------------------- CR checking
-    def _cr_operated_narrow(self, uop: MicroOp) -> bool:
-        """Did this (potential CR) uop actually operate on the low byte only?
-
-        Used to train the carry-width predictor bit at writeback (§3.5).
-        Delegates to the memoised per-uop oracle.
-        """
-        return uop.cr_operated_narrow(self._narrow_width)
-
-    def _cr_violated(self, uop: MicroOp) -> bool:
-        """A CR-steered uop is fatally mispredicted if the carry propagated.
-
-        The carry signal of the helper-cluster ALU is what flags the
-        misprediction (§3.5): reconstructing the wide result from the wide
-        source's upper bits is only correct when no carry leaves the low
-        byte.
-        """
-        return uop.cr_carry_crosses(self._narrow_width)
 
     # --------------------------------------------------------------- recovery
     def _recover(self, trigger: _DynUop, t: int) -> None:
@@ -987,7 +968,7 @@ class HelperClusterSimulator:
         for dyn in selected:
             i = dyn.dyn_id
             is_trace = kindcol[i] == KIND_TRACE
-            is_memory = is_trace and dyn.uop.is_memory
+            is_memory = is_trace and dyn.uop.info.is_memory
             completion = try_issue(dyn.opcode, t, unit=dyn.unit)
             if completion is None:
                 # Structural hazard on the functional unit: put the uop
@@ -1017,7 +998,7 @@ class HelperClusterSimulator:
             # charged the DL0 hit latency.
             return completion + self._dl0_hit_fast
         self._dl0_slots[slow_cycle] = self._dl0_slots.get(slow_cycle, 0) + 1
-        if uop.is_store:
+        if uop.info.is_store:
             latency_slow = self.memory.store(uop.mem_addr)
             # Stores complete (for dependence purposes) once the address and
             # data are known; the cache write happens post-commit.
@@ -1056,7 +1037,7 @@ class HelperClusterSimulator:
                 self._helper_committed += 1
             if split:
                 self._split_committed += 1
-            if uop.is_memory:
+            if uop.info.is_memory:
                 self.mob.release(uop.uid)
             # Copy-prefetch predictor training: the producer "incurred a copy"
             # if any consumer demanded one before it retired (§3.6).
@@ -1102,7 +1083,7 @@ class HelperClusterSimulator:
                         dyn.unit = clusters[dyn.domain].units.unit_for(dyn.opcode)
                     uop = dyn.uop
                     items.append((dyn, dyn.dyn_id, uop.uid, dyn.seq,
-                                  dyn.domain, uop.is_memory,
+                                  dyn.domain, uop.info.is_memory,
                                   _UNIT_ACCOUNT.get(dyn.unit, -1),
                                   uop.effective_producers))
                 done = self._dispatch_batch(self.hot.cstate, items, t)
@@ -1141,9 +1122,10 @@ class HelperClusterSimulator:
         structural hazard (ROB/IQ/MOB full) prevents dispatch this cycle.
         """
         uop = fetched.uop
+        info = uop.info
         if self.rob.is_full():
             return None
-        if uop.is_memory and not self.mob.can_allocate(uop.is_store):
+        if info.is_memory and not self.mob.can_allocate(info.is_store):
             return None
 
         decision = self._steer(fetched, self.context)
@@ -1173,7 +1155,7 @@ class HelperClusterSimulator:
             dyn_id=self._dyn_counter, kind="trace", seq=fetched.seq,
             domain=cluster, opcode=uop.opcode, uop=uop,
             decision=decision,
-            value_uid=uop.uid if (uop.has_dest or uop.writes_flags) else None,
+            value_uid=uop.uid if (uop.has_dest or info.writes_flags) else None,
             predicted_narrow=predicted_narrow,
             replicate_load=decision.replicate_load and self._uses_lr,
         )
@@ -1200,8 +1182,9 @@ class HelperClusterSimulator:
             return False
 
         if allocate_rob:
-            if uop.is_memory:
-                self.mob.allocate(uop.uid, dyn.seq, uop.is_store, uop.mem_addr,
+            info = uop.info
+            if info.is_memory:
+                self.mob.allocate(uop.uid, dyn.seq, info.is_store, uop.mem_addr,
                                   uop.mem_size)
             # Rename the destination and record the steering domain so later
             # consumers know where the value will live (§3.2 width table).
@@ -1227,7 +1210,7 @@ class HelperClusterSimulator:
                                 and not is_narrow(src_values[i], narrow_width)):
                             self.rename.link_upper_bits(uop.dest, r)
                             break
-            if uop.writes_flags:
+            if info.writes_flags:
                 self.rename.allocate(ArchReg.FLAGS, uop.uid, dyn.domain, True)
             self._activity.rename_ops += 1
 
@@ -1257,7 +1240,7 @@ class HelperClusterSimulator:
             dyn.in_rob = True
             self._activity.rob_ops += 1
         backend.issue_queue.insert_uop(dyn.dyn_id, dyn.seq, outstanding,
-                                       uop.is_memory, dyn, force=force)
+                                       uop.info.is_memory, dyn, force=force)
         backend.stats.dispatched += 1
         self._account_dispatch(dyn, backend)
         return True
@@ -1275,7 +1258,7 @@ class HelperClusterSimulator:
         uop = dyn.uop
         if self._kernel.dispatch_uop(
                 self.hot.cstate, dyn, dyn.dyn_id, uop.uid, dyn.seq,
-                dyn.domain, uop.is_memory,
+                dyn.domain, uop.info.is_memory,
                 _UNIT_ACCOUNT.get(dyn.unit, -1), uop.effective_producers,
                 t, allocate_rob, force):
             return True
@@ -1542,7 +1525,7 @@ class HelperClusterSimulator:
         # The parent is a bookkeeping record: it owns the ROB entry and the
         # produced value, but never enters an issue queue itself.
         self._dyn_counter += 1
-        produces_value = uop.has_dest or uop.writes_flags
+        produces_value = uop.has_dest or uop.info.writes_flags
         parent = _DynUop(
             self.hot.dyn,
             dyn_id=self._dyn_counter, kind="trace", seq=fetched.seq,
@@ -1553,12 +1536,12 @@ class HelperClusterSimulator:
         parent.in_rob = True
         self.result.activity.rob_ops += 1
         self.result.activity.rename_ops += 1
-        if uop.is_memory:
-            self.mob.allocate(uop.uid, fetched.seq, uop.is_store, uop.mem_addr,
+        if uop.info.is_memory:
+            self.mob.allocate(uop.uid, fetched.seq, uop.info.is_store, uop.mem_addr,
                               uop.mem_size)
         if uop.has_dest:
             self.rename.allocate(uop.dest, uop.uid, cluster, False)
-        if uop.writes_flags:
+        if uop.info.writes_flags:
             self.rename.allocate(ArchReg.FLAGS, uop.uid, cluster, True)
 
         # Source dependences are attached to the least-significant chunk; the

@@ -37,7 +37,9 @@ from repro.trace.trace import Trace
 FORMAT_VERSION = 1
 
 #: Binary (pickle) format identifier; bump when the entry layout changes.
-BINARY_FORMAT_VERSION = 1
+#: Format 2 pickles each MicroOp as its recorded fields only (the derived
+#: facts are re-derived on load); format-1 entries are dropped as misses.
+BINARY_FORMAT_VERSION = 2
 
 _PathLike = Union[str, Path]
 

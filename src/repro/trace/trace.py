@@ -89,21 +89,21 @@ class Trace:
         """Compute aggregate statistics in one pass over the trace."""
         stats = TraceStats(num_uops=len(self.uops))
         for uop in self.uops:
-            cls = uop.op_class
+            cls = uop.info.op_class
             stats.class_counts[cls] = stats.class_counts.get(cls, 0) + 1
             if uop.result_value is not None and is_narrow(uop.result_value, narrow_width):
                 stats.narrow_result_count += 1
             if uop.src_values and uop.all_sources_narrow(narrow_width):
                 stats.narrow_all_source_count += 1
-            if uop.is_cond_branch:
+            if uop.info.is_cond_branch:
                 stats.cond_branch_count += 1
                 if uop.is_taken:
                     stats.taken_branch_count += 1
-            if uop.is_load:
+            if uop.info.is_load:
                 stats.load_count += 1
                 if uop.mem_size == 1:
                     stats.byte_load_count += 1
-            if uop.is_store:
+            if uop.info.is_store:
                 stats.store_count += 1
         return stats
 

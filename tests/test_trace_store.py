@@ -9,10 +9,16 @@ process-wide counter these tests assert against.
 
 from __future__ import annotations
 
+import copyreg
+import dataclasses
+import hashlib
+import io
+import json
 import pickle
 
 import pytest
 
+from repro.isa.uop import MicroOp
 from repro.sim import engine as engine_mod
 from repro.sim.engine import SweepEngine, SweepJob, trace_for_job
 from repro.trace.profiles import get_profile
@@ -147,6 +153,46 @@ class TestTraceStore:
         path.write_bytes(path.read_bytes()[:64])
         with pytest.raises(ValueError):
             load_trace_binary(path)
+
+    def test_format1_entry_is_dropped_and_regenerated(self, tmp_path):
+        # A format-1 entry pickled each uop as its class plus a __dict__
+        # state.  A slotted MicroOp cannot restore that state, so the header
+        # check must reject the entry before unpickling and the store must
+        # treat it as a miss.
+        class Format1Pickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) is MicroOp:
+                    state = {f.name: getattr(obj, f.name)
+                             for f in dataclasses.fields(MicroOp) if f.init}
+                    return copyreg.__newobj__, (MicroOp,), state
+                return NotImplemented
+
+        profile = get_profile("gzip")
+        trace = generate_trace(profile, 600, seed=9)
+        buffer = io.BytesIO()
+        Format1Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(trace)
+        payload = buffer.getvalue()
+        with pytest.raises(Exception):
+            pickle.loads(payload)
+        header = json.dumps({
+            "format": 1, "name": trace.name, "seed": trace.seed,
+            "num_uops": len(trace),
+            "digest": hashlib.sha256(payload).hexdigest()}, sort_keys=True)
+
+        store = TraceStore(tmp_path)
+        key = trace_key(profile, 600, 9, False)
+        path = store.path_for(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(header.encode("utf-8") + b"\n" + payload)
+
+        job = SweepJob("gzip", "n888", 600, 9)
+        before = GENERATION_STATS.count
+        regenerated = trace_for_job(job, profile, store)
+        assert GENERATION_STATS.count - before == 1
+        assert store.stats() == {"hits": 0, "misses": 1, "stores": 1,
+                                 "corrupt_drops": 1, "healed": 1}
+        assert regenerated.uops == trace.uops
+        assert pickle.dumps(load_trace_binary(path)) == pickle.dumps(trace)
 
     def test_memo_hit_still_populates_a_fresh_store(self, tmp_path):
         # The memo is process-global while stores are per-engine: a memo

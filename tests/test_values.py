@@ -128,6 +128,14 @@ class TestNarrowness:
         if width <= NARROW_WIDTH:
             assert is_narrow(value)
 
+    @given(st.integers(min_value=-(1 << 40), max_value=1 << 40),
+           st.integers(min_value=1, max_value=MACHINE_WIDTH))
+    def test_value_width_matches_detector_view(self, value, width):
+        # The width is what the consecutive zero/one detectors leave over.
+        redundant = max(leading_zero_count(value, width),
+                        leading_one_count(value, width))
+        assert value_width(value, width) == max(1, width - redundant)
+
 
 class TestCarry:
     def test_no_carry(self):
