@@ -33,7 +33,6 @@ from repro.core.steering import (
     policy_registry,
     random_policy_spec,
 )
-from repro.sim.cache import canonical_text
 from repro.trace.profiles import (
     BenchmarkProfile,
     InstructionMix,
@@ -42,6 +41,7 @@ from repro.trace.profiles import (
     random_profile,
 )
 from repro.trace.slicing import select_simulation_slice
+from repro.trace.store import canonical_text
 from repro.trace.synthetic import generate_trace
 from repro.trace.trace import Trace
 

@@ -42,12 +42,12 @@ from repro.fuzz.generate import (
     generate_case,
 )
 from repro.fuzz.invariants import CommitOrderRecorder, check_result_invariants
-from repro.sim.cache import ResultCache, canonical_text, result_key
+from repro.sim.cache import ResultCache, result_key
 from repro.sim.hotstate import compiled_available
 from repro.sim.metrics import SimulationResult
 from repro.sim.simulator import HelperClusterSimulator
 from repro.trace.profiles import SPEC_INT_NAMES, get_profile
-from repro.trace.store import TraceStore, trace_key
+from repro.trace.store import TraceStore, canonical_text, trace_key
 from repro.trace.trace import Trace
 
 #: The paper's helper spec — the normal form shrinking drives helpers to.

@@ -58,18 +58,6 @@ def result_key(*parts: object) -> str:
     return hasher.hexdigest()
 
 
-def canonical_text(value: object) -> str:
-    """Canonical JSON form of a key dictionary (sorted keys, no whitespace).
-
-    Config objects contribute to cache keys through their ``to_key_dict()``
-    serialised with this function, so the key depends on every config field's
-    *value* — not on repr formatting, field order, or object identity — and
-    any field change (including nested cluster/scheduler/memory fields)
-    changes the key.
-    """
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
 #: Upper bound on the in-memory entry memo (results are small metric
 #: records; the memo exists so a key is read and decoded from disk at most
 #: once per process, however many sweeps of a session ask for it).

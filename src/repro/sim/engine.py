@@ -36,7 +36,7 @@ from repro.core.config import MachineConfig, baseline_config
 from repro.core.steering import make_policy, policy_spec
 from repro.faultkit import FaultInjector, FaultPlan, maybe_inject
 from repro.power.wattch import PowerConfig
-from repro.sim.cache import ResultCache, canonical_text, result_key
+from repro.sim.cache import ResultCache, result_key
 from repro.sim.checkpoint import (CampaignCheckpoint, job_to_dict,
                                   write_quarantine_file)
 from repro.sim.metrics import SimulationResult
@@ -44,7 +44,7 @@ from repro.sim.simulator import simulate
 from repro.sim.supervise import JobSupervisor, SupervisorPolicy, SweepReport
 from repro.trace.profiles import BenchmarkProfile, get_profile
 from repro.trace.slicing import select_simulation_slice
-from repro.trace.store import TraceStore, profile_key_text, trace_key
+from repro.trace.store import TraceStore, canonical_text, trace_key
 from repro.trace.synthetic import generate_trace
 from repro.trace.trace import Trace
 
@@ -54,6 +54,10 @@ from repro.trace.trace import Trace
 _TRACE_MEMO_LIMIT = 32
 
 _trace_memo: Dict[Tuple[str, int, int, bool], Trace] = {}
+
+#: Upper bound on an engine's memo of result-key component texts (a sweep
+#: names a few dozen distinct configs, profiles, policies and power configs).
+_KEY_TEXT_LIMIT = 1024
 
 #: Trace store bound to this process when it is a pool worker (set by
 #: :func:`_pool_init`); lets spawned workers re-hydrate parent-generated
@@ -136,7 +140,7 @@ def trace_for_job(job: SweepJob, profile: Optional[BenchmarkProfile] = None,
         profile = get_profile(job.benchmark)
     # The profile content is part of the key so a caller-supplied profile that
     # shadows a registered name cannot collide with it.
-    key = (profile_key_text(profile), job.trace_uops, job.seed,
+    key = (canonical_text(profile.to_key_dict()), job.trace_uops, job.seed,
            job.use_slicing)
     trace = _trace_memo.get(key)
     if trace is not None:
@@ -402,7 +406,13 @@ class SweepEngine:
         self.jobs = requested
         self.cache = cache
         self.power = power or PowerConfig()
+        #: the machine every baseline job's key names (one object, so its
+        #: key text is computed once)
+        self._baseline = baseline_config()
         self._profiles: Dict[str, BenchmarkProfile] = {}
+        #: ``id(obj) -> (obj, canonical key text)`` for the result key's
+        #: component objects; holding ``obj`` keeps its id from being reused
+        self._key_texts: Dict[int, Tuple[object, str]] = {}
         #: finalizer that removes the engine-private temp trace directory;
         #: None when the caller supplied (and therefore owns) the directory
         self._store_cleanup: Optional[weakref.finalize] = None
@@ -543,16 +553,32 @@ class SweepEngine:
         whose coverage was implicit.
         """
         if job.policy == "baseline":
-            config = baseline_config()
+            config = self._baseline
         else:
             config = job.config or self.config
-        profile = self._profile_for(job.benchmark)
-        power = job.power or self.power
-        return result_key(canonical_text(profile.to_key_dict()),
+        text = self._key_text
+        return result_key(text(self._profile_for(job.benchmark)),
                           job.trace_uops, job.seed, job.use_slicing,
-                          canonical_text(config.to_key_dict()),
-                          canonical_text(policy_spec(job.policy).to_key_dict()),
-                          canonical_text(power.to_key_dict()))
+                          text(config), text(policy_spec(job.policy)),
+                          text(job.power or self.power))
+
+    def _key_text(self, obj) -> str:
+        """``canonical_text(obj.to_key_dict())``, computed once per object.
+
+        The memo is keyed by identity, never by value: ``1 == 1.0 == True``
+        and ``0.0 == -0.0`` compare equal but serialise differently, so a
+        value-keyed memo could hand one object another's text.  Key
+        components are frozen dataclasses, so an object's text cannot go
+        stale.  Ad-hoc policy combos resolve to a fresh spec per job, so
+        the memo is emptied when it reaches :data:`_KEY_TEXT_LIMIT`.
+        """
+        entry = self._key_texts.get(id(obj))
+        if entry is None:
+            if len(self._key_texts) >= _KEY_TEXT_LIMIT:
+                self._key_texts.clear()
+            entry = (obj, canonical_text(obj.to_key_dict()))
+            self._key_texts[id(obj)] = entry
+        return entry[1]
 
     def register_profile(self, profile: BenchmarkProfile) -> None:
         """Make a (possibly unregistered) profile resolvable by name."""

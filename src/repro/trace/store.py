@@ -33,33 +33,32 @@ from repro.trace.serialization import (
 from repro.trace.trace import Trace
 
 
-def profile_key_text(profile: object) -> str:
-    """Canonical key text of a profile: sorted-key JSON of ``to_key_dict()``.
+def canonical_text(value: object) -> str:
+    """Canonical JSON form of a key dictionary (sorted keys, no whitespace).
 
-    Keying on the declared field dict instead of ``repr`` means the key
-    contract is explicit (REP002 statically checks every field reaches
-    ``to_key_dict``) and independent of repr formatting details such as
-    ``repr=False`` fields or float rendering — the same convention as the
-    engine's in-process memo key and the result-cache key.  Objects without
-    ``to_key_dict`` (only exercised by tests) fall back to ``repr``.
+    Config objects contribute to trace keys and result-cache keys
+    (:func:`repro.sim.cache.result_key`) through their ``to_key_dict()``
+    serialised with this function, so a key depends on every field's
+    *value* — not on repr formatting, field order, or object identity — and
+    any field change (including nested cluster/scheduler/memory fields)
+    changes the key.  REP002 statically checks that every field reaches
+    ``to_key_dict``.
     """
-    to_key = getattr(profile, "to_key_dict", None)
-    if to_key is not None:
-        return json.dumps(to_key(), sort_keys=True, separators=(",", ":"))
-    return repr(profile)
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def trace_key(profile: object, trace_uops: int, seed: int,
               use_slicing: bool) -> str:
     """Stable content hash of everything that determines a generated trace.
 
-    The profile contributes through :func:`profile_key_text`, so a
-    caller-supplied profile that shadows a registered name cannot collide
+    The profile contributes through ``canonical_text(to_key_dict())``, so
+    a caller-supplied profile that shadows a registered name cannot collide
     with it.
     """
     hasher = hashlib.sha256()
     hasher.update(str(BINARY_FORMAT_VERSION).encode("utf-8"))
-    for part in (profile_key_text(profile), trace_uops, seed, use_slicing):
+    for part in (canonical_text(profile.to_key_dict()), trace_uops, seed,
+                 use_slicing):
         hasher.update(b"\x00")
         hasher.update(repr(part).encode("utf-8"))
     return hasher.hexdigest()

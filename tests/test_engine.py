@@ -9,10 +9,20 @@ cache's corruption handling and the determinism of trace generation itself.
 from __future__ import annotations
 
 import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.core.config import helper_topology, topology_config
+import repro
+from repro.core.config import (MachineConfig, baseline_config,
+                               helper_topology, topology_config)
+from repro.core.steering import PolicySpec, policy_registry, policy_spec
+from repro.power.wattch import PowerConfig
+from repro.sim import engine as engine_mod
 from repro.sim.cache import ResultCache, result_key
 from repro.sim.engine import SweepEngine, SweepJob, execute_job, job_seed
 from repro.sim.experiment import (
@@ -21,7 +31,8 @@ from repro.sim.experiment import (
     run_spec_suite,
 )
 from repro.sim.metrics import SimulationResult
-from repro.trace.profiles import get_profile
+from repro.trace.profiles import BenchmarkProfile, get_profile
+from repro.trace.store import canonical_text
 from repro.trace.synthetic import generate_trace
 
 POLICIES = ["n888", "ir"]
@@ -239,6 +250,131 @@ class TestCacheKeys:
         narrow16 = SweepEngine(config=topology_config(helper_topology(narrow_width=16)))
         job = SweepJob("gcc", "baseline", 1000, 2006)
         assert narrow8.key_for(job) == narrow16.key_for(job)
+
+
+def _inline_key(engine: SweepEngine, job: SweepJob) -> str:
+    """A job's result key written out without the engine's memo."""
+    config = (baseline_config() if job.policy == "baseline"
+              else job.config or engine.config)
+    return result_key(
+        canonical_text(engine._profile_for(job.benchmark).to_key_dict()),
+        job.trace_uops, job.seed, job.use_slicing,
+        canonical_text(config.to_key_dict()),
+        canonical_text(policy_spec(job.policy).to_key_dict()),
+        canonical_text((job.power or engine.power).to_key_dict()))
+
+
+def _mixed_batch() -> list:
+    """Baseline, the ladder, ``ir_wa``, an ad-hoc combo, job-carried grid
+    configs and a job-carried power config, each job listed twice."""
+    grid = [point.config for point in build_topology_grid(
+        widths=(8, 16), ratios=(2,), helper_counts=(1,))]
+    power = PowerConfig(alu_access=12.5)
+    jobs = [SweepJob(bench, policy, 1000, SEED)
+            for bench in BENCHMARKS
+            for policy in policy_registry.ladder_names() + ["ir_wa",
+                                                             "n888+cr"]]
+    jobs += [SweepJob(bench, policy, 1000, SEED, config=config)
+             for bench in BENCHMARKS for config in grid
+             for policy in ("baseline", "ir", "ir_wa")]
+    jobs += [SweepJob("gcc", policy, 1000, SEED, power=power)
+             for policy in ("baseline", "ir")]
+    return jobs + list(jobs)
+
+
+class TestKeyStability:
+    """The engine computes each key component's text once per distinct
+    object; keys must be byte-identical to the inline computation."""
+
+    def test_memoised_keys_equal_inline_keys(self):
+        engine = SweepEngine(config=topology_config(helper_topology()))
+        jobs = _mixed_batch()
+        assert [engine.key_for(job) for job in jobs] == \
+            [_inline_key(engine, job) for job in jobs]
+
+    def test_each_component_serialised_once_per_object(self, monkeypatch):
+        calls = {}
+        held = []
+
+        def counting(cls):
+            original = cls.to_key_dict
+
+            def to_key_dict(self):
+                held.append(self)  # keep ids unique for the whole test
+                calls[id(self)] = calls.get(id(self), 0) + 1
+                return original(self)
+            monkeypatch.setattr(cls, "to_key_dict", to_key_dict)
+
+        for cls in (MachineConfig, BenchmarkProfile, PolicySpec, PowerConfig):
+            counting(cls)
+        engine = SweepEngine(config=topology_config(helper_topology()))
+        for job in _mixed_batch():
+            engine.key_for(job)
+        assert calls and max(calls.values()) == 1
+
+    def test_reregistered_profile_changes_the_key(self):
+        engine = SweepEngine()
+        job = SweepJob("gcc", "ir", 1000, SEED)
+        before = engine.key_for(job)
+        engine.register_profile(dataclasses.replace(
+            get_profile("gcc"), narrow_data_fraction=0.5))
+        after = engine.key_for(job)
+        assert after != before
+        assert after == _inline_key(engine, job)
+
+    def test_reregistered_policy_changes_the_key(self):
+        engine = SweepEngine()
+        job = SweepJob("gcc", "ir", 1000, SEED)
+        before = engine.key_for(job)
+        original = policy_registry.get("ir")
+        policy_registry.register(dataclasses.replace(
+            original, selector="width_aware"), replace=True)
+        try:
+            after = engine.key_for(job)
+            assert after != before
+            assert after == _inline_key(engine, job)
+        finally:
+            policy_registry.register(original, replace=True)
+        assert engine.key_for(job) == before
+
+    def test_equal_valued_configs_keep_their_own_text(self):
+        # 12 == 12.0, but the two serialise differently, so a memo keyed
+        # by value would hand the second object the first one's text.
+        engine = SweepEngine()
+        jobs = [SweepJob("gcc", "ir", 1000, SEED,
+                         power=PowerConfig(alu_access=value))
+                for value in (12, 12.0, 12)]
+        assert jobs[0].power == jobs[1].power
+        keys = [engine.key_for(job) for job in jobs]
+        assert keys == [_inline_key(engine, job) for job in jobs]
+        assert keys[0] != keys[1] and keys[0] == keys[2]
+
+    def test_memo_stays_bounded_under_adhoc_policies(self, monkeypatch):
+        # An ad-hoc combo resolves to a fresh spec for every job.
+        monkeypatch.setattr(engine_mod, "_KEY_TEXT_LIMIT", 4)
+        engine = SweepEngine()
+        jobs = [SweepJob("gcc", "n888+cr", 1000, seed) for seed in range(10)]
+        for job in jobs:
+            assert engine.key_for(job) == _inline_key(engine, job)
+            assert len(engine._key_texts) <= 4
+
+    def test_keys_equal_in_a_fresh_process(self):
+        jobs = _mixed_batch()
+        engine = SweepEngine(config=topology_config(helper_topology()))
+        keys = [engine.key_for(job) for job in jobs]
+        child = (
+            "import pickle, sys\n"
+            "from repro.core.config import helper_topology, topology_config\n"
+            "from repro.sim.engine import SweepEngine\n"
+            "jobs = pickle.load(sys.stdin.buffer)\n"
+            "engine = SweepEngine(config=topology_config(helper_topology()))\n"
+            "print(' '.join(engine.key_for(job) for job in jobs))\n")
+        env = dict(os.environ, PYTHONHASHSEED="12345",
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", child],
+                              input=pickle.dumps(jobs), capture_output=True,
+                              env=env, check=True)
+        assert proc.stdout.decode().split() == keys
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from repro.core.config import (
 )
 from repro.core.steering import PolicySpec, Scheme, policy_spec
 from repro.power.wattch import PowerConfig
-from repro.sim.cache import canonical_text
+from repro.trace.store import canonical_text
 
 #: Fields deliberately excluded from the cache key, per owning class.
 #: ``PolicySpec.in_ladder`` is a presentation flag: it orders the ladder

@@ -45,11 +45,11 @@ from repro.core.steering import (
 )
 from repro.isa.opcodes import Opcode
 from repro.pipeline.clocking import ClockingModel
-from repro.sim.cache import canonical_text
 from repro.sim.engine import SweepEngine, SweepJob
 from repro.sim.experiment import ExperimentRunner, mixed_topology_point
 from repro.sim.simulator import HelperClusterSimulator, simulate
 from repro.trace.profiles import get_profile
+from repro.trace.store import canonical_text
 from repro.trace.synthetic import generate_trace
 
 

@@ -234,7 +234,7 @@ class TestPerClusterScaling:
 
 class TestPowerConfigKeyDict:
     def test_round_trips_canonical_json(self):
-        from repro.sim.cache import canonical_text
+        from repro.trace.store import canonical_text
         import json
 
         key = PowerConfig().to_key_dict()
